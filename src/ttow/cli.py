@@ -34,6 +34,7 @@ from .galois import densor, named_algebra, ten_closure
 from .groebner import Ideal
 from .jsonio import (
     SCHEMA,
+    _require,
     _scalar_out,
     complex_to_json,
     dumps,
@@ -116,14 +117,21 @@ def _parse_field(text):
     if text in (None, "rational"):
         return QQ
     if text.startswith("prime:"):
-        return PrimeField(int(text.split(":", 1)[1]))
+        try:
+            p = int(text.split(":", 1)[1])
+        except ValueError:
+            raise ValidationError(f"--field {text}: the prime is not an integer") from None
+        return PrimeField(p)
     raise ValidationError(f"unknown field spec: {text}")
 
 
 def _parse_bounds(text):
     if text is None:
         return None
-    return [int(x) for x in text.replace(",", " ").split()]
+    try:
+        return [int(x) for x in text.replace(",", " ").split()]
+    except ValueError:
+        raise ValidationError(f"--degree-bound {text}: expected integers") from None
 
 
 def _build_parser():
@@ -195,7 +203,7 @@ def _parse_polys(args, field):
         polys.append(poly_from_string(text, nvars, field))
     if args.infile and not polys:
         obj = load_file(args.infile)
-        polys = [poly_from_json(p, field, nvars=None) for p in obj["polys"]]
+        polys = [poly_from_json(p, field, nvars=None) for p in _require(obj, "polys", args.infile)]
     if not polys:
         raise ValidationError("no polynomials given")
     return polys
@@ -240,9 +248,12 @@ def _dispatch(args):
         obj = load_file(args.infile) if args.infile else None
         if obj is None:
             raise ValidationError("closure needs --in")
-        frame = Frame(tuple(obj["dims"]), field)
-        polys = [poly_from_json(p, field, len(frame.dims)) for p in obj["polys"]]
-        ops = [operator_from_json(o, frame) for o in obj["operators"]]
+        frame = Frame(tuple(_require(obj, "dims", args.infile)), field)
+        polys = [
+            poly_from_json(p, field, len(frame.dims))
+            for p in _require(obj, "polys", args.infile)
+        ]
+        ops = [operator_from_json(o, frame) for o in _require(obj, "operators", args.infile)]
         space = ten_closure(polys, ops, frame)
         return {
             "dimension": space.dimension,
@@ -279,13 +290,9 @@ def _dispatch(args):
         if obj is None:
             raise ValidationError("homotopism needs --in")
         if args.mode == "verify":
-            s = tensor_from_json(obj["src"], None)
-            t = tensor_from_json(obj["dst"], None)
-            cat = TensorCategory(s.frame.valence, obj.get("variance"))
-            maps = _parse_maps(obj["maps"], s.frame.field)
-            return {"holds": verify_homotopism(s, t, maps, cat)}
-        f = _morphism_from_json(obj["f"])
-        g = _morphism_from_json(obj["g"])
+            return {"holds": verify_homotopism(*_morphism_parts(obj, args.infile))}
+        f = Homotopism(*_morphism_parts(_require(obj, "f", args.infile), "f"))
+        g = Homotopism(*_morphism_parts(_require(obj, "g", args.infile), "g"))
         h = compose_homotopisms(f, g)
         return {
             "src": tensor_to_json(h.src),
@@ -327,12 +334,13 @@ def _maps_to_json(maps, field):
     ]
 
 
-def _morphism_from_json(obj):
-    s = tensor_from_json(obj["src"], None)
-    t = tensor_from_json(obj["dst"], None)
+def _morphism_parts(obj, what):
+    """(src, dst, maps, category) of a homotopism object."""
+    s = tensor_from_json(_require(obj, "src", what), None)
+    t = tensor_from_json(_require(obj, "dst", what), None)
     cat = TensorCategory(s.frame.valence, obj.get("variance"))
-    maps = _parse_maps(obj["maps"], s.frame.field)
-    return Homotopism(s, t, maps, cat)
+    maps = _parse_maps(_require(obj, "maps", what), s.frame.field)
+    return s, t, maps, cat
 
 
 def main(argv=None):

@@ -1,5 +1,5 @@
 """Named tensor fixtures: quantum states, algebra multiplication tensors,
-counter-tensors, and the worked matrix examples.
+and the worked matrix examples.
 """
 
 from itertools import product
@@ -13,23 +13,6 @@ def unit_tensor(v, field=QQ):
     """<1|: K^v -> K, the v-fold product of scalars."""
     frame = Frame((1,) * (v + 1), field)
     return Tensor(frame, [field.one])
-
-
-def counter_tensor(a, m, pi, field=QQ):
-    """<t(a,m,pi)|v> = pi(v_a) * prod_{b != a} v_b with V_a = K^m.
-
-    pi is a length-m row of scalars (a functional on K^m); a >= 1.
-    """
-    if a < 1:
-        raise UnsupportedParams("counter-tensor axis must be an input axis")
-    v = max(a, 1)
-    dims = [1] * (v + 1)
-    dims[a] = m
-    frame = Frame(tuple(dims), field)
-    coeffs = [field.parse(x) for x in pi]
-    if len(coeffs) != m:
-        raise UnsupportedParams("pi must have length m")
-    return Tensor(frame, coeffs)
 
 
 def ghz(field=QQ):

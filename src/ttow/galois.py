@@ -318,13 +318,26 @@ def _np_mats(omega, a, k):
 
 
 def _matmul_mod(A, B, p):
-    """Exact A @ B mod p. Integer matmul in numpy bypasses BLAS; when every
-    inner product fits a float64 mantissa we reduce, multiply as floats, and
-    round back, which is an order of magnitude faster on large matrices."""
-    if A.shape[1] * (p - 1) ** 2 < 2**53:
+    """Exact A @ B mod p, for every prime that _np_ok admits.  Integer
+    matmul in numpy bypasses BLAS; when every inner product fits a float64
+    mantissa we reduce, multiply as floats, and round back, which is an
+    order of magnitude faster on large matrices.  Otherwise the inner
+    dimension is cut into chunks whose partial sums stay exact: below 2**53
+    as float64 where one product of residues does, else below 2**63 in
+    int64; each chunk is reduced mod p before the next is added."""
+    sq = (p - 1) ** 2
+    if A.shape[1] * sq < 2**53:
         prod = (A % p).astype(np.float64) @ (B % p).astype(np.float64)
         return np.rint(prod % p).astype(np.int64) % p
-    return (A @ B) % p
+    dtype = np.float64 if sq < 2**53 else np.int64
+    step = ((2**53 if sq < 2**53 else 2**63) - 1) // sq
+    A = (A % p).astype(dtype)
+    B = (B % p).astype(dtype)
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for k in range(0, A.shape[1], step):
+        prod = (A[:, k : k + step] @ B[k : k + step]) % p
+        out = (out + prod.astype(np.int64)) % p
+    return out
 
 
 def _np_apply_poly(delta, poly, B, frame):
@@ -429,7 +442,7 @@ def _linear_kernel_sylvester(delta, poly, frame):
     sols = []
     for y in Y:
         Ym = y.reshape(kdim, dc)
-        S = (Wc @ Ym) % p  # R x dc
+        S = _matmul_mod(Wc, Ym, p)  # R x dc
         sols.append(S.reshape(-1))
     if not sols:
         return np.zeros((0, frame.size), dtype=np.int64)

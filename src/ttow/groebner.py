@@ -389,14 +389,6 @@ def monomial_primary_decomposition(I):
     return components, primes
 
 
-def ideal_product_vars(I):
-    return I.nvars
-
-
-def random_monomial_box(rng, nvars, bounds):
-    return tuple(rng.randint(0, b) for b in bounds)
-
-
 def box_exponents(bounds):
     """All exponent tuples e with 0 <= e_a <= bounds_a."""
     return list(product(*(range(b + 1) for b in bounds)))

@@ -18,6 +18,16 @@ from .tensors import Frame, Tensor
 SCHEMA = "ttow/1"
 
 
+def _require(obj, key, what):
+    """obj[key] of a decoded JSON object, or a ValidationError naming the
+    missing key and what the object was read as."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what}: expected a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValidationError(f"{what}: missing key {key!r}")
+    return obj[key]
+
+
 def _scalar_out(field, x):
     s = field.fmt(x)
     try:
@@ -38,14 +48,15 @@ def tensor_to_json(t):
 
 def tensor_from_json(obj, field=None):
     if field is None:
-        field = field_from_json(obj["field"])
-    frame = Frame(tuple(obj["dims"]), field)
+        field = field_from_json(_require(obj, "field", "tensor"))
+    frame = Frame(tuple(_require(obj, "dims", "tensor")), field)
     if "dense" in obj:
         coeffs = [field.parse(x) for x in obj["dense"]]
         return Tensor(frame, coeffs)
     t = Tensor.zero(frame)
     for entry in obj.get("entries", []):
-        t.coeffs[frame.flat(tuple(entry["idx"]))] = field.parse(entry["val"])
+        idx = tuple(_require(entry, "idx", "tensor entry"))
+        t.coeffs[frame.flat(idx)] = field.parse(_require(entry, "val", "tensor entry"))
     return t
 
 
@@ -62,7 +73,8 @@ def operator_to_json(omega):
 def operator_from_json(obj, frame):
     field = frame.field
     mats = [
-        [[field.parse(x) for x in row] for row in m] for m in obj["matrices"]
+        [[field.parse(x) for x in row] for row in m]
+        for m in _require(obj, "matrices", "operator")
     ]
     return TransverseOperator(frame, mats, obj.get("variance"))
 
@@ -79,11 +91,11 @@ def poly_to_json(p, order=GREVLEX):
 
 def poly_from_json(obj, field, nvars=None):
     terms = {}
-    for term in obj["terms"]:
-        e = tuple(int(k) for k in term["exp"])
+    for term in _require(obj, "terms", "polynomial"):
+        e = tuple(int(k) for k in _require(term, "exp", "polynomial term"))
         if nvars is not None and len(e) != nvars:
             raise ValidationError("exponent length mismatch")
-        terms[e] = field.parse(term["coeff"])
+        terms[e] = field.parse(_require(term, "coeff", "polynomial term"))
     if not terms:
         if nvars is None:
             raise ValidationError("cannot infer variable count of the zero polynomial")
@@ -102,9 +114,9 @@ def ideal_to_json(I):
 
 
 def ideal_from_json(obj, order=GREVLEX):
-    field = field_from_json(obj["field"])
-    nvars = obj["nvars"]
-    gens = [poly_from_json(g, field, nvars) for g in obj["basis"]]
+    field = field_from_json(_require(obj, "field", "ideal"))
+    nvars = _require(obj, "nvars", "ideal")
+    gens = [poly_from_json(g, field, nvars) for g in _require(obj, "basis", "ideal")]
     return Ideal(gens, order) if gens else Ideal.zero(field, nvars, order)
 
 
@@ -124,11 +136,11 @@ def subframe_to_json(U):
 def subframe_from_json(obj, frame):
     field = frame.field
     bases = [[] for _ in frame.dims]
-    for ax in obj["axes"]:
-        a = int(ax["axis"])
+    for ax in _require(obj, "axes", "subframe"):
+        a = int(_require(ax, "axis", "subframe axis"))
         if not 0 <= a < len(frame.dims):
             raise ValidationError("subframe axis out of range")
-        bases[a] = [[field.parse(x) for x in row] for row in ax["basis"]]
+        bases[a] = [[field.parse(x) for x in row] for row in _require(ax, "basis", "subframe axis")]
     return Subframe(frame, bases)
 
 
@@ -157,5 +169,12 @@ def dumps(obj):
 
 
 def load_file(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """The decoded JSON of a file; a ValidationError naming the path if the
+    file cannot be read or is not JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc

@@ -2,14 +2,23 @@
 
 Matrices are lists of rows of field scalars.  Over prime fields the
 elimination runs on numpy int64 arrays (all products of two residues fit a
-machine word for the primes we admit); over the rationals it runs on
-Fractions with shortest-entry pivoting to limit coefficient growth.
+machine word for the primes we admit).  Over the rationals it is
+multimodular: each row is scaled to coprime integers, eliminated modulo
+word-size primes with the same numpy kernel, and the RREF is lifted by CRT
+and rational reconstruction (Wang 1981; Monagan, ISSAC 2004).  The lift is
+certified exactly over ZZ before it is returned, so the result is the RREF
+over QQ, not a probable one.  `_rref_generic` eliminates over any field
+with the field's own scalars; it is the reference the tests compare with.
 """
+
+import math
+from fractions import Fraction
+from itertools import count
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .fields import PrimeField
+from .fields import QQ, PrimeField, _is_prime
 
 
 def _np_ok(field, inner=1):
@@ -60,10 +69,6 @@ def np_nullspace(A, p):
     return basis
 
 
-def _frac_size(x):
-    return x.numerator.bit_length() + x.denominator.bit_length()
-
-
 def _rref_generic(rows, field):
     rows = [list(r) for r in rows]
     rows = [r for r in rows if any(not field.is_zero(x) for x in r)]
@@ -78,10 +83,7 @@ def _rref_generic(rows, field):
         cands = [i for i in range(r, len(rows)) if not field.is_zero(rows[i][col])]
         if not cands:
             continue
-        if field.characteristic == 0:
-            piv = min(cands, key=lambda i: _frac_size(rows[i][col]))
-        else:
-            piv = cands[0]
+        piv = cands[0]
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = field.inv(rows[r][col])
         rows[r] = [field.mul(inv, x) for x in rows[r]]
@@ -99,6 +101,141 @@ def _rref_generic(rows, field):
     return rows, pivots
 
 
+# Word-size primes for the multimodular QQ kernel, in descending order from
+# 2**31 - 1: the largest primes whose residue products np_rref keeps exact.
+_PRIMES = []
+
+
+def _prime(i):
+    """The i-th prime of the fixed multimodular sequence (cached)."""
+    while len(_PRIMES) <= i:
+        n = _PRIMES[-1] - 2 if _PRIMES else (1 << 31) - 1
+        while not _is_prime(n):
+            n -= 2
+        _PRIMES.append(n)
+    return _PRIMES[i]
+
+
+def _integer_rows(rows):
+    """The distinct nonzero rows of a rational matrix, each scaled by a
+    positive rational to coprime integers (same row space, same RREF), and
+    the largest bit length of an entry."""
+    out = {}
+    bits = 0
+    for row in rows:
+        den = 1
+        for x in row:
+            d = x.denominator
+            if d != 1:
+                den = den * d // math.gcd(den, d)
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = math.gcd(*ints)
+        if g == 0:
+            continue
+        if g != 1:
+            ints = [v // g for v in ints]
+        out[tuple(ints)] = None
+        bits = max(bits, max(ints).bit_length(), min(ints).bit_length())
+    return list(out), bits
+
+
+def _rational_reconstruct(u, m, bound):
+    """(a, b) with a/b = u mod m, |a| <= bound, 0 < b <= bound, or None."""
+    r0, r1 = m, u
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 > bound or math.gcd(r1, t1) != 1:
+        return None
+    return r1, t1
+
+
+def _lift(X, m):
+    """Rational reconstruction of every residue of X mod m, as rows of
+    (numerator, denominator) pairs, or None if one fails."""
+    bound = math.isqrt(m // 2)
+    out = []
+    for row in X.tolist():
+        lifted = [_rational_reconstruct(u, m, bound) for u in row]
+        if None in lifted:
+            return None
+        out.append(lifted)
+    return out
+
+
+def _certified(A, bits, pivots, free, fracs):
+    """Whether every row a of the integer matrix A satisfies
+    a[free] == a[pivots] @ fracs exactly, i.e. row(A) lies in the row space
+    of the candidate RREF.  Each column of fracs is brought to a common
+    denominator d and the check made as d * a[free] == a[pivots] @ numerators:
+    in int64 when the bound 2**(bits + max(numerator bits + rank bits,
+    denominator bits)) on both sides stays below 2**62, otherwise in Python
+    ints."""
+    dens = [1] * len(free)
+    for row in fracs:
+        for j, (_, b) in enumerate(row):
+            dens[j] = dens[j] * b // math.gcd(dens[j], b)
+    nums = [[a * (dens[j] // b) for j, (a, b) in enumerate(row)] for row in fracs]
+    nbits = max(abs(a).bit_length() for row in nums for a in row)
+    dbits = max(dens).bit_length()
+    dtype = object
+    if bits + max(nbits + len(pivots).bit_length(), dbits) < 62:
+        dtype = np.int64
+    A = A.astype(dtype, copy=False)
+    N = np.array(nums, dtype=dtype)
+    D = np.array(dens, dtype=dtype)
+    return np.array_equal(A[:, free] * D, A[:, pivots] @ N)
+
+
+def _rref_rational(rows):
+    """RREF over QQ by word-size primes, CRT and rational reconstruction.
+
+    A prime whose rank is below, or whose pivot columns come
+    lexicographically after, those of another prime is unlucky and is
+    dropped.  The lift R is returned only once every input row a satisfies
+    a[free] = a[pivots] R[:, free] over ZZ: then row(A) ⊆ row(R), and
+    rank R = rank_p A <= rank_QQ A, so R is the RREF of A.  Until then
+    another prime is added.
+    """
+    Z, bits = _integer_rows(rows)
+    if not Z:
+        return [], []
+    n = len(Z[0])
+    A = np.array(Z, dtype=np.int64 if bits < 64 else object)
+    best = None  # (-rank, pivots) of the primes combined so far: least is best
+    for p in map(_prime, count()):
+        R, pivots = np_rref(A % p, p)
+        key = (-len(pivots), pivots)
+        if best is not None and key > best:
+            continue
+        pivset = set(pivots)
+        free = [c for c in range(n) if c not in pivset]
+        Rf = R[:, free].astype(object)
+        if key != best:
+            best = key
+            X, m = Rf, p
+        else:
+            X = X + m * ((Rf - X) * pow(m, -1, p) % p)
+            m *= p
+        fracs = _lift(X, m)
+        # with no free column the check is empty: rank n forces R = I
+        if fracs is not None and (not free or _certified(A, bits, pivots, free, fracs)):
+            break
+    out = []
+    for i, pcol in enumerate(pivots):
+        row = [QQ.zero] * n
+        row[pcol] = QQ.one
+        for c, (a, b) in zip(free, fracs[i]):
+            if a:
+                row[c] = Fraction(a, b)
+        out.append(row)
+    return out, pivots
+
+
 def rref(rows, field):
     """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
     rows = list(rows)
@@ -107,6 +244,8 @@ def rref(rows, field):
     if _np_ok(field):
         R, pivots = np_rref([[int(x) for x in r] for r in rows], field.p)
         return [[int(x) for x in r] for r in R], pivots
+    if field.characteristic == 0:
+        return _rref_rational(rows)
     return _rref_generic(rows, field)
 
 
@@ -170,15 +309,6 @@ def in_span(vec, basis, pivots, field):
     return all(field.is_zero(x) for x in red)
 
 
-def coords_in_basis(vec, basis, pivots, field):
-    """Coordinates of vec in an RREF basis, or None if not in the span."""
-    coords = [vec[p] for p in pivots]
-    red = reduce_against(vec, basis, pivots, field)
-    if any(not field.is_zero(x) for x in red):
-        return None
-    return coords
-
-
 def spans_equal(rows1, rows2, field):
     b1, p1 = rref(rows1, field)
     b2, p2 = rref(rows2, field)
@@ -193,10 +323,15 @@ def mat_mul(A, B, field):
     if A and B and len(A[0]) != len(B):
         raise DimensionMismatch("matrix product shape mismatch")
     n = len(B[0]) if B else 0
-    return [
-        [field.sum(field.mul(a, B[k][j]) for k, a in enumerate(row)) for j in range(n)]
-        for row in A
-    ]
+    out = []
+    for row in A:
+        # a row of A B is the combination of the rows of B its entries weigh
+        acc = [field.zero] * n
+        for a, brow in zip(row, B):
+            if not field.is_zero(a):
+                acc = [field.add(x, field.mul(a, y)) for x, y in zip(acc, brow)]
+        out.append(acc)
+    return out
 
 
 def mat_vec(A, v, field):
@@ -238,6 +373,8 @@ def kernel_restrict(basis, constraint_cols, field):
         for c, b in zip(coeffs, basis):
             if field.is_zero(c):
                 continue
-            vec = [field.add(x, field.mul(c, y)) for x, y in zip(vec, b)]
+            for j, y in enumerate(b):
+                if not field.is_zero(y):
+                    vec[j] = field.add(vec[j], field.mul(c, y))
         out.append(vec)
     return out

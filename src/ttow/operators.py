@@ -7,12 +7,11 @@ changes composition order, not the contraction itself, so a stored basis
 reads off directly against the classical adjoint/nucleus descriptions.
 """
 
-from itertools import permutations, product
+from itertools import product
 
 from .errors import (
     DimensionMismatch,
     FrameMismatch,
-    UnsupportedParams,
     VarianceMismatch,
 )
 from .linalg import identity_matrix, mat_mul
@@ -171,56 +170,6 @@ def op_from_flat(frame, variance, vec):
     if pos != len(vec):
         raise DimensionMismatch("flat operator vector has wrong length")
     return TransverseOperator(frame, mats, variance)
-
-
-def char_poly_coeffs(mat, field):
-    """Coefficients c_0..c_d of det(x*I - M), by permutation expansion.
-
-    Intended for small d (property tests); exact in any characteristic.
-    """
-    d = len(mat)
-    if d > 6:
-        raise UnsupportedParams("char_poly_coeffs is for small matrices")
-    # entries of x*I - M are degree-<=1 polynomials (b + a*x); multiply out
-    coeffs = [field.zero] * (d + 1)
-    for perm in permutations(range(d)):
-        sign = 1
-        seen = [False] * d
-        for i in range(d):
-            if seen[i]:
-                continue
-            j = i
-            length = 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        # product of entries (x*delta_ij - M[i][j])
-        prod_c = [field.one]
-        for i in range(d):
-            j = perm[i]
-            const = field.neg(mat[i][j])
-            lin = field.one if i == j else field.zero
-            new = [field.zero] * (len(prod_c) + 1)
-            for k, c in enumerate(prod_c):
-                new[k] = field.add(new[k], field.mul(c, const))
-                new[k + 1] = field.add(new[k + 1], field.mul(c, lin))
-            prod_c = new
-        for k, c in enumerate(prod_c):
-            term = c if sign > 0 else field.neg(c)
-            coeffs[k] = field.add(coeffs[k], term)
-    return coeffs
-
-
-def operators_span_contains(basis_ops, omega):
-    """Whether omega lies in the linear span of basis_ops (active coords)."""
-    from .linalg import in_span, rref
-
-    field = omega.frame.field
-    rows, pivots = rref([op_flat(b) for b in basis_ops], field)
-    return in_span(op_flat(omega), rows, pivots, field)
 
 
 def random_operator(frame, variance, rng):

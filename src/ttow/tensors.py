@@ -10,7 +10,7 @@ from itertools import product
 
 from .errors import DimensionMismatch, FieldMismatch
 from .fields import Field
-from .linalg import nullspace, row_basis, rref
+from .linalg import rref
 
 
 @dataclass(frozen=True)
@@ -225,37 +225,3 @@ class TensorSpace:
             and [b.coeffs for b in self.basis] == [b.coeffs for b in other.basis]
         )
 
-
-def axis_radical(tensors, a):
-    """Radical of a set of tensors in axis a.
-
-    a >= 1: basis of {v_a : <t|..., v_a, ...> = 0 for all t and companions}.
-    a = 0: basis of span{<t|v_1..v_v>} (full iff dimension d_0).
-    """
-    if not tensors:
-        raise DimensionMismatch("empty tensor set")
-    frame = tensors[0].frame
-    f = frame.field
-    dims = frame.dims
-    if a == 0:
-        vecs = []
-        for t in tensors:
-            others = [b for b in range(1, len(dims))]
-            for idx in product(*(range(dims[b]) for b in others)):
-                vec = []
-                for k in range(dims[0]):
-                    full = (k,) + idx
-                    vec.append(t[full])
-                vecs.append(vec)
-        return row_basis(vecs, f)
-    rows = []
-    for t in tensors:
-        others = [b for b in range(len(dims)) if b != a]
-        for idx in product(*(range(dims[b]) for b in others)):
-            row = []
-            for i in range(dims[a]):
-                full = list(idx)
-                full.insert(a, i)
-                row.append(t[tuple(full)])
-            rows.append(row)
-    return nullspace(rows, dims[a], f)

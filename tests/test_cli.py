@@ -155,3 +155,44 @@ def test_output_file_and_determinism(capsys, tmp_path):
     assert main(["ann", "--fixture", "ghz-swap", "--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_text() == out2.read_text()
+
+
+# Each bad input: argv (with {dir} for a scratch directory), the files to
+# write there first, and a text the error message must contain.
+BAD_INPUTS = [
+    ("missing --in", ["der", "--in", "{dir}/none.json"], {}, "none.json"),
+    ("unreadable --in", ["der", "--in", "{dir}"], {}, "cannot read"),
+    (
+        "missing --subframe",
+        ["nabla", "--fixture", "cplx", "--subframe", "{dir}/none.json"],
+        {},
+        "none.json",
+    ),
+    ("malformed JSON", ["der", "--in", "{dir}/bad.json"], {"bad.json": "{\"dims\": [2,"}, "bad.json"),
+    (
+        "subframe without axes",
+        ["verify-singularity", "--fixture", "cplx", "--subframe", "{dir}/U.json"],
+        {"U.json": '{"bases": []}'},
+        "'axes'",
+    ),
+    (
+        "tensor without field",
+        ["der", "--in", "{dir}/t.json"],
+        {"t.json": '{"dims": [1, 1, 1], "entries": []}'},
+        "'field'",
+    ),
+    ("non-integer prime", ["der", "--fixture", "ghz", "--field", "prime:abc"], {}, "prime:abc"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,files,needle", [case[1:] for case in BAD_INPUTS], ids=[case[0] for case in BAD_INPUTS]
+)
+def test_bad_input_is_a_structured_exit_2(capsys, tmp_path, argv, files, needle):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, *[a.replace("{dir}", str(tmp_path)) for a in argv])
+    assert code == 2
+    assert out is None
+    assert err["error"]["type"] == "ValidationError"
+    assert needle in err["error"]["message"]

@@ -1,8 +1,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ttow import QQ, PrimeField
+from ttow.galois import _matmul_mod
 from ttow.linalg import (
+    _prime,
+    _rref_generic,
     identity_matrix,
     in_span,
     kernel_restrict,
@@ -112,3 +119,81 @@ def test_kernel_restrict():
     assert len(sub) == 2
     for v in sub:
         assert sum(v, Fraction(0)) == 0
+
+
+# -- the multimodular QQ kernel against Fraction elimination ------------------
+
+
+def _same_rref(rows):
+    R, piv = rref(rows, QQ)
+    G, gpiv = _rref_generic(rows, QQ)
+    assert (R, piv) == (G, gpiv)
+    assert all(type(x) is Fraction for row in R for x in row)
+    return R, piv
+
+
+def _fractions(num_bits, den_bits):
+    num = st.integers(-(1 << num_bits), 1 << num_bits)
+    den = st.integers(1, 1 << den_bits)
+    return st.one_of(st.just(0), st.integers(-3, 3), st.builds(Fraction, num, den))
+
+
+@st.composite
+def _rational_matrices(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    scalars = _fractions(draw(st.sampled_from([4, 40, 100])), draw(st.sampled_from([0, 8, 70])))
+    if draw(st.booleans()):
+        # rank at most k < min(m, n), as a product of m x k and k x n factors
+        k = draw(st.integers(0, min(m, n) - 1))
+        B = draw(st.lists(st.lists(scalars, min_size=k, max_size=k), min_size=m, max_size=m))
+        C = draw(st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=k, max_size=k))
+        rows = [[sum((B[i][t] * C[t][j] for t in range(k)), Fraction(0)) for j in range(n)]
+                for i in range(m)]
+    else:
+        rows = draw(st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=m, max_size=m))
+    zero_rows = draw(st.sets(st.integers(0, m - 1)))
+    zero_cols = draw(st.sets(st.integers(0, n - 1)))
+    return [
+        [Fraction(0) if i in zero_rows or j in zero_cols else Fraction(x) for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_matrices())
+def test_multimodular_rref_matches_fraction_elimination(rows):
+    _same_rref(rows)
+
+
+def test_multimodular_rref_lifts_entries_wider_than_64_bits():
+    big = (1 << 90) + 7
+    rows = [[Fraction(3), Fraction(big, 5), Fraction(1)], [Fraction(6), Fraction(1), Fraction(-big)]]
+    R, _ = _same_rref(rows)
+    # an entry whose numerator and denominator both exceed 2**64 needs
+    # a CRT modulus above 2**129, i.e. more than four 31-bit primes
+    assert any(x.numerator > 1 << 64 and x.denominator > 1 << 64 for row in R for x in row)
+
+
+def test_multimodular_rref_discards_an_unlucky_first_prime():
+    p = _prime(0)
+    rank_drop = [[1, 1], [1, 1 + p]]  # det = p: rank 1 mod p, 2 over QQ
+    pivot_shift = [[p, 1, 0], [0, 0, 1]]  # pivots (1, 2) mod p, (0, 2) over QQ
+    for rows, qq_pivots in ((rank_drop, [0, 1]), (pivot_shift, [0, 2])):
+        _, modp_pivots = np_rref(np.array(rows, dtype=np.int64), p)
+        assert modp_pivots != qq_pivots
+        _, piv = _same_rref([[Fraction(x) for x in row] for row in rows])
+        assert piv == qq_pivots
+
+
+def test_matmul_mod_is_exact_for_large_admitted_primes():
+    # at p = 500000003, inner * (p - 1)**2 is far above 2**63, so a plain
+    # int64 A @ B would wrap; p = 101 takes the single float64 product
+    rng = random.Random(23)
+    for p in (101, 500000003):
+        A = [[rng.randrange(p) for _ in range(4096)] for _ in range(2)]
+        B = [[rng.randrange(p) for _ in range(2)] for _ in range(4096)]
+        want = [[sum(A[i][k] * B[k][j] for k in range(4096)) % p for j in range(2)]
+                for i in range(2)]
+        got = _matmul_mod(np.array(A, dtype=np.int64), np.array(B, dtype=np.int64), p)
+        assert got.tolist() == want
