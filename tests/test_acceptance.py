@@ -9,7 +9,16 @@ import time
 
 import pytest
 
-import test_properties as props
+from test_properties import (
+    test_annihilator_completeness_oracle_25_seeds,
+    test_centroid_and_nuclei_associative_and_unital,
+    test_conjugation_identity_on_twenty_seeds,
+    test_densor_of_random_8x8x8_under_60s,
+    test_derivations_lie_closed_on_all_fixtures,
+    test_galois_connection_three_way_equivalence_100_seeds,
+    test_singularity_theorem_on_fifty_random_seeds,
+    test_torus_identity_on_twenty_seeds,
+)
 
 from ttow import QQ, PrimeField, Subframe, TensorSpace, TransverseOperator
 from ttow.annihilator import ann_operator
@@ -165,7 +174,7 @@ def test_acceptance_5_singularity_theorem_suite():
     assert verify_singularity_theorem(t, U, sample_count=8, seed=3)["holds"]
 
     # fifty seeded random pairs over F101
-    props.test_singularity_theorem_on_fifty_random_seeds()
+    test_singularity_theorem_on_fifty_random_seeds()
     assert time.time() - start < 120.0
 
 
@@ -195,7 +204,7 @@ def test_acceptance_6_composability_verdicts():
 
 
 def test_acceptance_7_galois_connection_suite():
-    props.test_galois_connection_three_way_equivalence_100_seeds()
+    test_galois_connection_three_way_equivalence_100_seeds()
 
 
 # criterion 8 ---------------------------------------------------------------
@@ -203,10 +212,10 @@ def test_acceptance_7_galois_connection_suite():
 
 def test_acceptance_8_closure_law_suite():
     start = time.time()
-    props.test_derivations_lie_closed_on_all_fixtures()
-    props.test_centroid_and_nuclei_associative_and_unital()
-    props.test_torus_identity_on_twenty_seeds()
-    props.test_conjugation_identity_on_twenty_seeds()
+    test_derivations_lie_closed_on_all_fixtures()
+    test_centroid_and_nuclei_associative_and_unital()
+    test_torus_identity_on_twenty_seeds()
+    test_conjugation_identity_on_twenty_seeds()
     assert time.time() - start < 60.0
 
 
@@ -214,11 +223,11 @@ def test_acceptance_8_closure_law_suite():
 
 
 def test_acceptance_9_annihilator_completeness_oracle():
-    props.test_annihilator_completeness_oracle_25_seeds()
+    test_annihilator_completeness_oracle_25_seeds()
 
 
 # smoke benchmark ------------------------------------------------------------
 
 
 def test_acceptance_densor_smoke_benchmark():
-    props.test_densor_of_random_8x8x8_under_60s()
+    test_densor_of_random_8x8x8_under_60s()
