@@ -322,17 +322,15 @@ def _matmul_mod(A, B, p):
     matmul in numpy bypasses BLAS; when every inner product fits a float64
     mantissa we reduce, multiply as floats, and round back, which is an
     order of magnitude faster on large matrices.  Otherwise the inner
-    dimension is cut into chunks whose partial sums stay exact: below 2**53
-    as float64 where one product of residues does, else below 2**63 in
-    int64; each chunk is reduced mod p before the next is added."""
+    dimension is cut into int64 chunks whose partial sums stay below 2**63;
+    each chunk is reduced mod p before the next is added."""
     sq = (p - 1) ** 2
     if A.shape[1] * sq < 2**53:
         prod = (A % p).astype(np.float64) @ (B % p).astype(np.float64)
         return np.rint(prod % p).astype(np.int64) % p
-    dtype = np.float64 if sq < 2**53 else np.int64
-    step = ((2**53 if sq < 2**53 else 2**63) - 1) // sq
-    A = (A % p).astype(dtype)
-    B = (B % p).astype(dtype)
+    step = (2**63 - 1) // sq
+    A = A % p
+    B = B % p
     out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
     for k in range(0, A.shape[1], step):
         prod = (A[:, k : k + step] @ B[k : k + step]) % p

@@ -196,10 +196,13 @@ def _rref_rational(rows):
 
     A prime whose rank is below, or whose pivot columns come
     lexicographically after, those of another prime is unlucky and is
-    dropped.  The lift R is returned only once every input row a satisfies
-    a[free] = a[pivots] R[:, free] over ZZ: then row(A) ⊆ row(R), and
-    rank R = rank_p A <= rank_QQ A, so R is the RREF of A.  Until then
-    another prime is added.
+    dropped.  Rational reconstruction is tried only when the number of
+    combined primes reaches 1, 2, 4, 8, ...: each try costs time quadratic
+    in the size of the modulus, so trying after every prime would make the
+    whole lift cubic in the number of primes.  The lift R is returned only
+    once every input row a satisfies a[free] = a[pivots] R[:, free] over
+    ZZ: then row(A) ⊆ row(R), and rank R = rank_p A <= rank_QQ A, so R is
+    the RREF of A.  Until then more primes are added.
     """
     Z, bits = _integer_rows(rows)
     if not Z:
@@ -217,10 +220,13 @@ def _rref_rational(rows):
         Rf = R[:, free].astype(object)
         if key != best:
             best = key
-            X, m = Rf, p
+            X, m, k = Rf, p, 1
         else:
             X = X + m * ((Rf - X) * pow(m, -1, p) % p)
             m *= p
+            k += 1
+        if k & (k - 1):
+            continue
         fracs = _lift(X, m)
         # with no free column the check is empty: rank n forces R = I
         if fracs is not None and (not free or _certified(A, bits, pivots, free, fracs)):

@@ -175,6 +175,33 @@ def test_multimodular_rref_lifts_entries_wider_than_64_bits():
     assert any(x.numerator > 1 << 64 and x.denominator > 1 << 64 for row in R for x in row)
 
 
+def test_multimodular_rref_reconstructs_at_doubling_prime_counts(monkeypatch):
+    # reconstruction is tried after 1, 2, 4, 8, ... primes, not after each
+    # one, so its cost stays quadratic in the number of primes
+    from ttow import linalg
+
+    primes_seen, tried_at = [], []
+    np_rref_, lift_ = linalg.np_rref, linalg._lift
+
+    def counting_rref(A, p):
+        primes_seen.append(p)
+        return np_rref_(A, p)
+
+    def counting_lift(X, m):
+        tried_at.append(len(primes_seen))
+        return lift_(X, m)
+
+    monkeypatch.setattr(linalg, "np_rref", counting_rref)
+    monkeypatch.setattr(linalg, "_lift", counting_lift)
+    rng = random.Random(31)
+    rows = [[Fraction(rng.getrandbits(120) - (1 << 119), rng.randint(1, 1 << 70)) for _ in range(6)]
+            for _ in range(4)]
+    _same_rref(rows)
+    assert len(primes_seen) > 8
+    assert tried_at == [1 << i for i in range(len(tried_at))]
+    assert tried_at[-1] == len(primes_seen)
+
+
 def test_multimodular_rref_discards_an_unlucky_first_prime():
     p = _prime(0)
     rank_drop = [[1, 1], [1, 1 + p]]  # det = p: rank 1 mod p, 2 over QQ
