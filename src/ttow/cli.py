@@ -17,23 +17,12 @@ from .categories import (
 )
 from .errors import ComputationError, TtowError, ValidationError
 from .fields import QQ, PrimeField
-from .fixtures import (
-    cplx_as_real,
-    dotprod,
-    fig1_tensor,
-    ghz,
-    matmul,
-    octonions,
-    sl_bracket,
-    trunc_poly,
-    unit_tensor,
-    upper_triangular,
-    w_state,
-)
+from .fixtures import FIXTURE_NAMES, named_fixture
 from .galois import densor, named_algebra, ten_closure
 from .groebner import Ideal
 from .jsonio import (
     SCHEMA,
+    _parse_scalar,
     _require,
     _scalar_out,
     complex_to_json,
@@ -48,7 +37,6 @@ from .jsonio import (
     tensor_to_json,
     verdict_to_json,
 )
-from .operators import TransverseOperator
 from .polys import order_from_name, poly_from_string
 from .singularity import (
     monomial_trait_probe,
@@ -57,60 +45,6 @@ from .singularity import (
     verify_singularity_theorem,
 )
 from .tensors import Frame
-
-
-def _swap2(field):
-    z, o = field.zero, field.one
-    return [[z, o], [o, z]]
-
-
-def _fig1_ops(field, primed):
-    z, o = field.zero, field.one
-    if primed:
-        X = [[z, o], [z, z]]
-        Y = [[z, z, z], [o, z, z], [z, o, z]]
-    else:
-        X = [[z, z], [z, o]]
-        Y = [[z, z, z], [z, z, z], [z, z, o]]
-    return X, Y
-
-
-def named_fixture(name, field):
-    """The bundled example corpus: tensor plus, where relevant, the
-    operator the example pairs with it."""
-    if name in ("fig1a", "fig1b"):
-        t = fig1_tensor(field)
-        X, Y = _fig1_ops(field, name == "fig1b")
-        return {"tensor": t, "operator": TransverseOperator(t.frame, [X, Y])}
-    if name in ("ghz-swap", "w-swap"):
-        t = ghz(field) if name == "ghz-swap" else w_state(field)
-        s = _swap2(field)
-        return {"tensor": t, "operator": TransverseOperator(t.frame, [s, s, s])}
-    plain = {
-        "ghz": lambda: ghz(field),
-        "w": lambda: w_state(field),
-        "sl2": lambda: sl_bracket(2, field),
-        "sl3": lambda: sl_bracket(3, field),
-        "truncpoly-2": lambda: trunc_poly(2, field),
-        "truncpoly-3": lambda: trunc_poly(3, field),
-        "truncpoly-4": lambda: trunc_poly(4, field),
-        "matmul-2": lambda: matmul(2, field),
-        "dotprod-3": lambda: dotprod(3, field),
-        "cplx": lambda: cplx_as_real(field),
-        "upper-triangular": lambda: upper_triangular(field),
-        "octonion": lambda: octonions(field),
-        "unit-2": lambda: unit_tensor(2, field),
-    }
-    if name not in plain:
-        raise ValidationError(f"unknown fixture: {name}")
-    return {"tensor": plain[name]()}
-
-
-FIXTURE_NAMES = [
-    "fig1a", "fig1b", "ghz", "ghz-swap", "w", "w-swap", "sl2", "sl3",
-    "truncpoly-2", "truncpoly-3", "truncpoly-4", "matmul-2", "dotprod-3",
-    "cplx", "upper-triangular", "octonion", "unit-2",
-]
 
 
 def _parse_field(text):
@@ -322,7 +256,9 @@ def _dispatch(args):
 
 def _parse_maps(maps, field):
     return [
-        None if m is None else [[field.parse(x) for x in row] for row in m]
+        None
+        if m is None
+        else [[_parse_scalar(field, x, "homotopism 'maps'") for x in row] for row in m]
         for m in maps
     ]
 

@@ -187,8 +187,3 @@ def field_from_json(spec):
     if spec["type"] == "prime":
         return PrimeField(spec["p"])
     raise FieldMismatch(f"unknown field kind: {spec['type']}")
-
-
-def check_same_field(f1, f2):
-    if f1 != f2:
-        raise FieldMismatch(f"fields differ: {f1!r} vs {f2!r}")

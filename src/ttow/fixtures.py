@@ -4,8 +4,9 @@ and the worked matrix examples.
 
 from itertools import product
 
-from .errors import UnsupportedParams
+from .errors import UnsupportedParams, ValidationError
 from .fields import QQ
+from .operators import TransverseOperator
 from .tensors import Frame, Tensor
 
 
@@ -275,3 +276,57 @@ def fig1_tensor(field=QQ):
     frame = Frame((2, 3), field)
     vals = [1, 2, 3, 2, 3, 0]
     return Tensor(frame, [field.from_int(x) for x in vals])
+
+
+def _swap2(field):
+    z, o = field.zero, field.one
+    return [[z, o], [o, z]]
+
+
+def _fig1_ops(field, primed):
+    z, o = field.zero, field.one
+    if primed:
+        X = [[z, o], [z, z]]
+        Y = [[z, z, z], [o, z, z], [z, o, z]]
+    else:
+        X = [[z, z], [z, o]]
+        Y = [[z, z, z], [z, z, z], [z, z, o]]
+    return X, Y
+
+
+def named_fixture(name, field):
+    """The bundled example corpus: tensor plus, where relevant, the
+    operator the example pairs with it."""
+    if name in ("fig1a", "fig1b"):
+        t = fig1_tensor(field)
+        X, Y = _fig1_ops(field, name == "fig1b")
+        return {"tensor": t, "operator": TransverseOperator(t.frame, [X, Y])}
+    if name in ("ghz-swap", "w-swap"):
+        t = ghz(field) if name == "ghz-swap" else w_state(field)
+        s = _swap2(field)
+        return {"tensor": t, "operator": TransverseOperator(t.frame, [s, s, s])}
+    plain = {
+        "ghz": lambda: ghz(field),
+        "w": lambda: w_state(field),
+        "sl2": lambda: sl_bracket(2, field),
+        "sl3": lambda: sl_bracket(3, field),
+        "truncpoly-2": lambda: trunc_poly(2, field),
+        "truncpoly-3": lambda: trunc_poly(3, field),
+        "truncpoly-4": lambda: trunc_poly(4, field),
+        "matmul-2": lambda: matmul(2, field),
+        "dotprod-3": lambda: dotprod(3, field),
+        "cplx": lambda: cplx_as_real(field),
+        "upper-triangular": lambda: upper_triangular(field),
+        "octonion": lambda: octonions(field),
+        "unit-2": lambda: unit_tensor(2, field),
+    }
+    if name not in plain:
+        raise ValidationError(f"unknown fixture: {name}")
+    return {"tensor": plain[name]()}
+
+
+FIXTURE_NAMES = [
+    "fig1a", "fig1b", "ghz", "ghz-swap", "w", "w-swap", "sl2", "sl3",
+    "truncpoly-2", "truncpoly-3", "truncpoly-4", "matmul-2", "dotprod-3",
+    "cplx", "upper-triangular", "octonion", "unit-2",
+]

@@ -25,9 +25,7 @@ from .linalg import (
     kernel_restrict,
     mat_mul,
     np_nullspace,
-    np_rref,
     nullspace,
-    reduce_against,
     rref,
     spans_equal,
 )
@@ -360,174 +358,42 @@ def _np_apply_poly(delta, poly, B, frame):
     return out
 
 
-def _min_poly_matrix(mat, field):
-    """Minimal polynomial coefficients c_0..c_m (monic) of a square matrix."""
-    d = len(mat)
-    cur = identity_matrix(d, field)
-    vecs = []
-    pivots = []
-    basis = []
-    while True:
-        flatv = [x for row in cur for x in row]
-        red = reduce_against(flatv, basis, pivots, field)
-        if all(field.is_zero(x) for x in red):
-            aug = [list(r) + [field.zero] * len(vecs) for r in vecs]
-            for i in range(len(vecs)):
-                aug[i][d * d + i] = field.one
-            R, piv = rref(aug, field)
-            tail = reduce_against(
-                flatv + [field.zero] * len(vecs), R, piv, field
-            )
-            coeffs = [field.neg(tail[d * d + i]) for i in range(len(vecs))]
-            return [field.neg(c) for c in coeffs] + [field.one]
-        vecs.append(flatv)
-        newb, newp = rref(vecs, field)
-        basis, pivots = newb, newp
-        cur = mat_mul(cur, mat, field)
-
-
-def _linear_kernel_sylvester(delta, poly, frame):
-    """Kernel of a linear trait constraint on a large frame over F_p.
-
-    Folding all axes but the last into one index turns the constraint into
-    a Sylvester equation M·X = X·C; columns of every solution lie in
-    ker m_C(M) for the minimal polynomial m_C, which collapses the system
-    to a small one before any full-size elimination.
-    """
-    field = frame.field
-    p = field.p
-    dims = frame.dims
-    v = len(dims) - 1
-    lams = poly.linear_coeffs()
-    dc = dims[v]
-    R = frame.size // dc
-    # M = sum over row axes of lam_a * kron factor (axis 0 plain, else transpose)
-    M = np.zeros((R, R), dtype=np.int64)
-    for a in range(v):
-        lam = int(lams[a])
-        if lam == 0:
-            continue
-        fac = np.eye(1, dtype=np.int64)
-        for b in range(v):
-            if b == a:
-                m = _np_mats(delta, a, 1)
-                fac = np.kron(fac, m if a == 0 else m.T)
-            else:
-                fac = np.kron(fac, np.eye(dims[b], dtype=np.int64))
-        M = (M + lam * fac) % p
-    C = (-int(lams[v]) * _np_mats(delta, v, 1)) % p
-    # minimal polynomial of C, then W = ker m_C(M)
-    mc = _min_poly_matrix([[int(x) for x in row] for row in C], field)
-    mc = [int(c) % p for c in mc]
-    X = (mc[-1] * np.eye(R, dtype=np.int64)) % p
-    for c in reversed(mc[:-1]):
-        X = (_matmul_mod(X, M, p) + c * np.eye(R, dtype=np.int64)) % p
-    W = np_nullspace(X, p)  # rows span the invariant subspace
-    kdim = W.shape[0]
-    if kdim == 0:
-        return np.zeros((0, frame.size), dtype=np.int64)
-    Wc = W.T % p  # R x k, full column rank
-    MW = _matmul_mod(M, Wc, p)
-    aug = np.hstack([Wc, MW])
-    Rr, _ = np_rref(aug, p)
-    Mp = Rr[:kdim, kdim:]  # k x k restriction of M to the subspace
-    # small system M'Y = YC over vec(Y), Y is k x dc, row-major
-    small = (
-        np.kron(Mp, np.eye(dc, dtype=np.int64))
-        - np.kron(np.eye(kdim, dtype=np.int64), C.T)
-    ) % p
-    Y = np_nullspace(small, p)
-    sols = []
-    for y in Y:
-        Ym = y.reshape(kdim, dc)
-        S = _matmul_mod(Wc, Ym, p)  # R x dc
-        sols.append(S.reshape(-1))
-    if not sols:
-        return np.zeros((0, frame.size), dtype=np.int64)
-    return np.array(sols, dtype=np.int64)
-
-
-_FASTPATH_SIZE = 4096
-_DENSE_KRON_LIMIT = 6000
-
-
-def _first_kernel_np(delta, poly, frame):
+def _np_poly_matrix(delta, poly, frame):
+    """poly(delta) mod p as an explicit matrix on flat coordinates: a sum of
+    Kronecker products, one per term, accumulated in place."""
     p = frame.field.p
-    if (
-        frame.size >= _FASTPATH_SIZE
-        and frame.valence >= 1
-        and poly.is_linear_homogeneous()
-        and not frame.field.is_zero(poly.linear_coeffs()[-1])
-    ):
-        return _linear_kernel_sylvester(delta, poly, frame)
-    if frame.size > _DENSE_KRON_LIMIT:
-        # fall back to chunked application to the standard basis
-        B = np.eye(frame.size, dtype=np.int64)
-        C = _np_apply_poly(delta, poly, B, frame)
-        return np_nullspace(C.T, p)
-    # p(delta) as an explicit matrix on flat coordinates via Kronecker blocks
     N = frame.size
     C = np.zeros((N, N), dtype=np.int64)
     for e, c in poly.terms.items():
-        fac = np.eye(1, dtype=np.int64)
+        fac = np.full((1, 1), int(c) % p, dtype=np.int64)
         for a, ka in enumerate(e):
             m = _np_mats(delta, a, ka)
-            fac = np.kron(fac, m if a == 0 else m.T) % p
-        C = (C + int(c) * fac) % p
-    return np_nullspace(C, p)
-
-
-def _generic_combination(Delta, frame):
-    """A deterministic pseudo-random span member of Δ over F_p.
-
-    For a linear homogeneous trait q, ker q(Σ cᵢδᵢ) contains ∩ᵢ ker q(δᵢ),
-    so the combination is a sound seed for the intersection loop and —
-    unlike an individual basis operator, which may act by scalars and
-    annihilate nothing — generically has a small kernel.
-    """
-    variance = Delta[0].variance
-    if any(d.variance != variance for d in Delta[1:]):
-        return None
-    p = frame.field.p
-    coeffs = [pow(3, i + 1, p) for i in range(len(Delta))]
-    mats = []
-    for a, d in enumerate(frame.dims):
-        acc = np.zeros((d, d), dtype=np.int64)
-        for c, delta in zip(coeffs, Delta):
-            acc = (acc + c * _np_mats(delta, a, 1)) % p
-        mats.append([[int(x) for x in row] for row in acc])
-    return TransverseOperator(frame, mats, variance)
+            fac = np.kron(fac, m if a == 0 else m.T)
+            np.remainder(fac, p, out=fac)
+        C += fac
+        np.remainder(C, p, out=C)
+    return C
 
 
 def ten_closure(P, Delta, frame):
-    """Basis of Ten(P,Δ) = {s : apply_polynomial(δ, p, s) = 0 ∀δ,p}."""
+    """Basis of Ten(P,Δ) = {s : apply_polynomial(δ, p, s) = 0 ∀δ,p}.
+
+    Over F_p the first constraint's kernel seeds the basis; every further
+    constraint is applied to the whole basis at once and cuts it down to
+    the kernel of that batch.
+    """
     field = frame.field
     for delta in Delta:
         if delta.frame != frame:
             raise FrameMismatch("operator frame differs from the closure frame")
     constraints = [(d, p) for d in Delta for p in P if not p.is_zero()]
-    # linear constraints first: they admit the Sylvester shortcut
-    constraints.sort(key=lambda dp: 0 if dp[1].is_linear_homogeneous() else 1)
-    use_np = _np_ok(field, max(frame.dims) if frame.dims else 1)
     if not constraints:
         basis = identity_matrix(frame.size, field)
         return TensorSpace(frame, [Tensor(frame, b) for b in basis])
-    if use_np:
-        first_d, first_p = constraints[0]
-        rest = constraints[1:]
-        if (
-            len(constraints) > 1
-            and frame.size >= _FASTPATH_SIZE
-            and first_p.is_linear_homogeneous()
-        ):
-            combo = _generic_combination([d for d, _ in constraints], frame)
-            if combo is not None:
-                # seed with the combination's (small) kernel, then still
-                # intersect against every original constraint
-                first_d, rest = combo, constraints
-        B = _first_kernel_np(first_d, first_p, frame)
+    if _np_ok(field, max(frame.dims) if frame.dims else 1):
         p = field.p
-        for delta, poly in rest:
+        B = np_nullspace(_np_poly_matrix(*constraints[0], frame), p)
+        for delta, poly in constraints[1:]:
             if B.shape[0] == 0:
                 break
             applied = _np_apply_poly(delta, poly, B, frame)

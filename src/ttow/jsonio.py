@@ -7,7 +7,7 @@ field tags) so that identical jobs yield byte-identical output.
 
 import json
 
-from .errors import ValidationError
+from .errors import DivisionByZero, ValidationError
 from .fields import field_from_json
 from .groebner import Ideal
 from .operators import TransverseOperator
@@ -26,6 +26,14 @@ def _require(obj, key, what):
     if key not in obj:
         raise ValidationError(f"{what}: missing key {key!r}")
     return obj[key]
+
+
+def _parse_scalar(field, x, what):
+    """field.parse(x), or a ValidationError naming what x was read as."""
+    try:
+        return field.parse(x)
+    except (ValueError, ZeroDivisionError, DivisionByZero) as exc:
+        raise ValidationError(f"{what}: {x!r} is not a scalar of {field!r}") from exc
 
 
 def _scalar_out(field, x):
@@ -51,12 +59,21 @@ def tensor_from_json(obj, field=None):
         field = field_from_json(_require(obj, "field", "tensor"))
     frame = Frame(tuple(_require(obj, "dims", "tensor")), field)
     if "dense" in obj:
-        coeffs = [field.parse(x) for x in obj["dense"]]
+        coeffs = [_parse_scalar(field, x, "tensor 'dense'") for x in obj["dense"]]
         return Tensor(frame, coeffs)
     t = Tensor.zero(frame)
     for entry in obj.get("entries", []):
-        idx = tuple(_require(entry, "idx", "tensor entry"))
-        t.coeffs[frame.flat(idx)] = field.parse(_require(entry, "val", "tensor entry"))
+        idx = _require(entry, "idx", "tensor entry")
+        if not (
+            isinstance(idx, (list, tuple))
+            and len(idx) == len(frame.dims)
+            and all(type(i) is int and 0 <= i < d for i, d in zip(idx, frame.dims))
+        ):
+            raise ValidationError(
+                f"tensor entry: idx {idx!r} is not an index of dims {list(frame.dims)}"
+            )
+        val = _require(entry, "val", "tensor entry")
+        t.coeffs[frame.flat(idx)] = _parse_scalar(field, val, "tensor entry 'val'")
     return t
 
 
@@ -73,7 +90,7 @@ def operator_to_json(omega):
 def operator_from_json(obj, frame):
     field = frame.field
     mats = [
-        [[field.parse(x) for x in row] for row in m]
+        [[_parse_scalar(field, x, "operator 'matrices'") for x in row] for row in m]
         for m in _require(obj, "matrices", "operator")
     ]
     return TransverseOperator(frame, mats, obj.get("variance"))
@@ -95,7 +112,8 @@ def poly_from_json(obj, field, nvars=None):
         e = tuple(int(k) for k in _require(term, "exp", "polynomial term"))
         if nvars is not None and len(e) != nvars:
             raise ValidationError("exponent length mismatch")
-        terms[e] = field.parse(_require(term, "coeff", "polynomial term"))
+        c = _require(term, "coeff", "polynomial term")
+        terms[e] = _parse_scalar(field, c, "polynomial term 'coeff'")
     if not terms:
         if nvars is None:
             raise ValidationError("cannot infer variable count of the zero polynomial")
@@ -140,7 +158,10 @@ def subframe_from_json(obj, frame):
         a = int(_require(ax, "axis", "subframe axis"))
         if not 0 <= a < len(frame.dims):
             raise ValidationError("subframe axis out of range")
-        bases[a] = [[field.parse(x) for x in row] for row in _require(ax, "basis", "subframe axis")]
+        basis = _require(ax, "basis", "subframe axis")
+        bases[a] = [
+            [_parse_scalar(field, x, "subframe axis 'basis'") for x in row] for row in basis
+        ]
     return Subframe(frame, bases)
 
 

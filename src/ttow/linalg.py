@@ -340,10 +340,6 @@ def mat_mul(A, B, field):
     return out
 
 
-def mat_vec(A, v, field):
-    return [field.sum(field.mul(a, x) for a, x in zip(row, v)) for row in A]
-
-
 def mat_inv(A, field):
     """Inverse of a square matrix, or None if singular."""
     n = len(A)

@@ -34,12 +34,6 @@ class Frame:
             n *= d
         return n
 
-    def strides(self):
-        s = [1] * len(self.dims)
-        for a in range(len(self.dims) - 2, -1, -1):
-            s[a] = s[a + 1] * self.dims[a + 1]
-        return s
-
     def flat(self, idx):
         f = 0
         for i, d in zip(idx, self.dims):
@@ -224,4 +218,3 @@ class TensorSpace:
             and self.frame == other.frame
             and [b.coeffs for b in self.basis] == [b.coeffs for b in other.basis]
         )
-

@@ -1,11 +1,13 @@
 """In-process command-line tests: JSON payloads, exit codes, determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from ttow import QQ, Subframe
-from ttow.cli import FIXTURE_NAMES, main, named_fixture
+from ttow.cli import FIXTURE_NAMES, _build_parser, main, named_fixture
 from ttow.jsonio import dumps, subframe_to_json, tensor_to_json
 
 
@@ -132,6 +134,28 @@ def test_fixtures_listing_and_payload(capsys):
     assert out["tensor"]["dims"] == [2, 2, 2]
 
 
+def test_shipped_fixture_corpus_is_the_cli_payload(capsys):
+    corpus = Path(__file__).resolve().parents[1] / "src" / "ttow" / "data" / "fixtures"
+    files = {path.stem: path for path in corpus.glob("*.json")}
+    assert sorted(files) == sorted(FIXTURE_NAMES)
+    for name in FIXTURE_NAMES:
+        code, out, _ = run(capsys, "fixtures", "--fixture", name)
+        assert code == 0
+        del out["schema"], out["command"]
+        assert json.loads(files[name].read_text()) == out, name
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln.split("#", 1)[0] for ln in block.splitlines() if ln.startswith("ttow ")]
+    assert len(lines) >= 10
+    parser = _build_parser()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert parser.parse_args(argv).command == argv[0], line
+
+
 def test_validation_errors_exit_2(capsys):
     code, _, err = run(capsys, "ann", "--fixture", "no-such-fixture")
     assert code == 2
@@ -156,6 +180,18 @@ def test_output_file_and_determinism(capsys, tmp_path):
     capsys.readouterr()
     assert out1.read_text() == out2.read_text()
 
+
+def _tensor(entries=None, dense=None, dims=(2, 2, 2)):
+    obj = {"field": {"type": "rational"}, "dims": list(dims)}
+    if dense is not None:
+        obj["dense"] = dense
+    else:
+        obj["entries"] = entries
+    return obj
+
+
+_GHZ = _tensor([{"idx": [0, 0, 0], "val": 1}, {"idx": [1, 1, 1], "val": 1}])
+_SWAP = [[0, 1], [1, 0]]
 
 # Each bad input: argv (with {dir} for a scratch directory), the files to
 # write there first, and a text the error message must contain.
@@ -182,6 +218,76 @@ BAD_INPUTS = [
         "'field'",
     ),
     ("non-integer prime", ["der", "--fixture", "ghz", "--field", "prime:abc"], {}, "prime:abc"),
+    (
+        "tensor idx out of range",
+        ["der", "--in", "{dir}/t.json"],
+        {"t.json": json.dumps(_tensor([{"idx": [0, 0, 5], "val": 1}]))},
+        "[0, 0, 5]",
+    ),
+    (
+        "tensor idx too short",
+        ["der", "--in", "{dir}/t.json"],
+        {"t.json": json.dumps(_tensor([{"idx": [1, 1], "val": 1}]))},
+        "[1, 1]",
+    ),
+    (
+        "tensor val not a scalar",
+        ["der", "--in", "{dir}/t.json"],
+        {"t.json": json.dumps(_tensor([{"idx": [0, 0, 0], "val": "abc"}]))},
+        "'val'",
+    ),
+    (
+        "tensor val divides by zero",
+        ["der", "--in", "{dir}/t.json"],
+        {"t.json": json.dumps(_tensor([{"idx": [0, 0, 0], "val": "1/0"}]))},
+        "'val'",
+    ),
+    (
+        "dense tensor not a scalar",
+        ["der", "--in", "{dir}/t.json"],
+        {"t.json": json.dumps(_tensor(dense=["1", "x"], dims=(1, 1, 2)))},
+        "'dense'",
+    ),
+    (
+        "operator matrix not a scalar",
+        ["ann", "--in", "{dir}/t.json"],
+        {
+            "t.json": json.dumps(
+                {"tensor": _GHZ, "operator": {"matrices": [_SWAP, _SWAP, [[0, "y"], [1, 0]]]}}
+            )
+        },
+        "'matrices'",
+    ),
+    (
+        "polynomial coeff not a scalar",
+        ["closure", "--in", "{dir}/c.json"],
+        {
+            "c.json": json.dumps(
+                {
+                    "dims": [2, 2, 2],
+                    "polys": [{"terms": [{"coeff": "z", "exp": [1, 0, 0]}]}],
+                    "operators": [],
+                }
+            )
+        },
+        "'coeff'",
+    ),
+    (
+        "subframe basis not a scalar",
+        ["verify-singularity", "--fixture", "cplx", "--subframe", "{dir}/U.json"],
+        {"U.json": json.dumps({"axes": [{"axis": 0, "basis": [["1", "w"]]}]})},
+        "'basis'",
+    ),
+    (
+        "homotopism map not a scalar",
+        ["homotopism", "verify", "--in", "{dir}/h.json"],
+        {
+            "h.json": json.dumps(
+                {"src": _GHZ, "dst": _GHZ, "maps": [_SWAP, _SWAP, [[0, "v"], [1, 0]]]}
+            )
+        },
+        "'maps'",
+    ),
 ]
 
 

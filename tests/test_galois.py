@@ -8,6 +8,7 @@ from ttow import (
     Frame,
     PrimeField,
     Tensor,
+    TensorSpace,
     TransverseOperator,
     apply_polynomial,
     check_product_closure,
@@ -142,6 +143,31 @@ def test_ten_closure_single_slot_pattern():
     assert space.dimension == 4
     for b in space.basis:
         assert apply_polynomial(delta, derivation_poly(2), b).is_zero()
+
+
+def test_ten_closure_of_diagonal_operators_on_a_4096_frame():
+    # With diagonal matrices diag(a), diag(b), diag(c) on the three axes, the
+    # derivation trait acts on the unit tensor e_ijk by a_i - b_j - c_k, so
+    # Ten is spanned by the e_ijk with a_i = b_j + c_k for every operator.
+    n = 16
+    frame = Frame((n, n, n), F101)
+    weights = [
+        ([i % 7 for i in range(n)], [j % 3 for j in range(n)], [k % 5 for k in range(n)]),
+        ([i % 4 for i in range(n)], [0] * n, [k % 4 for k in range(n)]),
+    ]
+
+    def diag(w):
+        return [[w[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+    Delta = [TransverseOperator(frame, [diag(w) for w in ws]) for ws in weights]
+    space = ten_closure([derivation_poly(2, F101)], Delta, frame)
+    units = [
+        Tensor.from_entries(frame, {idx: 1})
+        for idx in frame.indices()
+        if all(a[idx[0]] == b[idx[1]] + c[idx[2]] for a, b, c in weights)
+    ]
+    assert space == TensorSpace(frame, units)
+    assert space.dimension == 153
 
 
 def test_densor_contains_its_input():
