@@ -1,14 +1,19 @@
 """Operator spaces Op(S,P), named algebras, tensor closures Ten(P,Δ),
 densors, symbolic defining equations, generic points, torus transforms.
 
-Both legs are exact nullspace computations: Op(S,P) for linear homogeneous
-P is a stacked Sylvester-type system in the operator entries; Ten(P,Δ) is
-the joint kernel of the maps s ↦ p(δ)·s, linear in s for any P.
+Both legs are exact nullspace computations on one numpy engine for every
+field: Op(S,P) for linear homogeneous P is a stacked Sylvester-type system
+in the operator entries; Ten(P,Δ) is the joint kernel of the maps
+s ↦ p(δ)·s, linear in s for any P, computed mod p, and over QQ mod
+word-size primes, lifted and certified.
 """
+
+import math
 
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     ClosureCheckFailed,
     DimensionMismatch,
     FrameMismatch,
@@ -17,14 +22,15 @@ from .errors import (
     VarianceMismatch,
     ZeroTorusEntry,
 )
-from .fields import PrimeField
 from .linalg import (
-    _np_ok,
+    _dtype,
+    _integer_scaled,
+    _multimodular_rref,
     identity_matrix,
     in_span,
-    kernel_restrict,
     mat_mul,
     np_nullspace,
+    np_rref,
     nullspace,
     rref,
     spans_equal,
@@ -140,15 +146,17 @@ def _op_unknown_layout(frame, variance):
 
 
 def _sylvester_rows_np(t, lams, axes, offsets, nunk):
-    """Constraint block for one (tensor, linear poly) pair, mod p."""
+    """Constraint block for one (tensor, integer-scaled linear poly) pair:
+    mod p, or over QQ on t scaled to integers (the trait is linear in t)."""
     frame = t.frame
-    p = frame.field.p
+    p = frame.field.characteristic
     dims = frame.dims
-    T = np.array([int(c) for c in t.coeffs], dtype=np.int64).reshape(dims)
+    dtype = _dtype(p) if p else object
+    T = np.array(_integer_scaled(t.coeffs), dtype=dtype).reshape(dims)
     N = frame.size
-    M = np.zeros((N, nunk), dtype=np.int64)
+    M = np.zeros((N, nunk), dtype=dtype)
     for a in axes:
-        lam = int(lams[a])
+        lam = lams[a]
         if lam == 0:
             continue
         d = dims[a]
@@ -159,51 +167,18 @@ def _sylvester_rows_np(t, lams, axes, offsets, nunk):
                 # to output coordinate (k, rest)
                 slab = lam * T[i].reshape(-1)
                 for k in range(d):
-                    out = np.zeros(dims, dtype=np.int64)
+                    out = np.zeros(dims, dtype=dtype)
                     out[k] = slab.reshape(dims[1:])
                     M[:, base + k * d + i] += out.reshape(-1)
             else:
                 slab = lam * np.take(T, i, axis=a)
                 for j in range(d):
-                    out = np.zeros(dims, dtype=np.int64)
+                    out = np.zeros(dims, dtype=dtype)
                     idx = [slice(None)] * len(dims)
                     idx[a] = j
                     out[tuple(idx)] = slab
                     M[:, base + i * d + j] += out.reshape(-1)
-    return M % p
-
-
-def _sylvester_rows_generic(t, lams, axes, offsets, nunk):
-    frame = t.frame
-    f = frame.field
-    dims = frame.dims
-    rows = [[f.zero] * nunk for _ in range(frame.size)]
-    for idx in frame.indices():
-        c = t[idx]
-        if f.is_zero(c):
-            continue
-        for a in axes:
-            lam = lams[a]
-            if f.is_zero(lam):
-                continue
-            d = dims[a]
-            base = offsets[a]
-            val = f.mul(lam, c)
-            if a == 0:
-                m = idx[0]
-                for k in range(d):
-                    out = (k,) + idx[1:]
-                    col = base + k * d + m
-                    r = rows[frame.flat(out)]
-                    r[col] = f.add(r[col], val)
-            else:
-                i = idx[a]
-                for j in range(d):
-                    out = idx[:a] + (j,) + idx[a + 1 :]
-                    col = base + i * d + j
-                    r = rows[frame.flat(out)]
-                    r[col] = f.add(r[col], val)
-    return rows
+    return M % p if p else M
 
 
 def op_space_linear(S, P, variance=None):
@@ -225,23 +200,20 @@ def op_space_linear(S, P, variance=None):
         if not p.is_linear_homogeneous():
             raise NonLinearIdeal("op_space_linear needs linear homogeneous P")
         _check_poly_axes(p, variance)
-        lam_rows.append(p.linear_coeffs())
+        # scaling one trait by a constant keeps its solutions
+        lam_rows.append(_integer_scaled(p.linear_coeffs()))
     if not P or all(t.is_zero() for t in S):
         vecs = identity_matrix(nunk, field)
-    elif _np_ok(field, max(frame.dims)):
-        blocks = [
+    else:
+        big = np.vstack([
             _sylvester_rows_np(t, lams, axes, offsets, nunk)
             for t in S
             for lams in lam_rows
-        ]
-        big = np.vstack(blocks) if blocks else np.zeros((0, nunk), dtype=np.int64)
-        vecs = [[int(x) for x in row] for row in np_nullspace(big, field.p)]
-    else:
-        rows = []
-        for t in S:
-            for lams in lam_rows:
-                rows.extend(_sylvester_rows_generic(t, lams, axes, offsets, nunk))
-        vecs = nullspace(rows, nunk, field)
+        ])
+        if field.characteristic:
+            vecs = [[int(x) for x in row] for row in np_nullspace(big, field.p)]
+        else:
+            vecs = nullspace(big.tolist(), nunk, field)
     basis = [op_from_flat(frame, variance, v) for v in vecs]
     return OperatorSpace(frame, variance, basis, provenance=(list(S), list(P)))
 
@@ -309,19 +281,27 @@ def check_product_closure(space, law):
     return True, None
 
 
-def _np_mats(omega, a, k):
+def _residue(x, p):
+    """An int or Fraction scalar mod p (p must not divide its denominator)."""
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def _np_mats(omega, a, k, p):
     return np.array(
-        [[int(x) for x in row] for row in omega.power(a, k)], dtype=np.int64
+        [[_residue(x, p) for x in row] for row in omega.power(a, k)], dtype=_dtype(p)
     )
 
 
 def _matmul_mod(A, B, p):
-    """Exact A @ B mod p, for every prime that _np_ok admits.  Integer
+    """Exact A @ B mod p, for every prime that PrimeField admits.  Integer
     matmul in numpy bypasses BLAS; when every inner product fits a float64
     mantissa we reduce, multiply as floats, and round back, which is an
-    order of magnitude faster on large matrices.  Otherwise the inner
-    dimension is cut into int64 chunks whose partial sums stay below 2**63;
-    each chunk is reduced mod p before the next is added."""
+    order of magnitude faster on large matrices.  Otherwise int64 residues
+    cut the inner dimension into chunks whose partial sums stay below
+    2**63, each reduced mod p before the next is added; Python ints in
+    object arrays multiply directly."""
+    if _dtype(p) is object:
+        return (A @ B) % p
     sq = (p - 1) ** 2
     if A.shape[1] * sq < 2**53:
         prod = (A % p).astype(np.float64) @ (B % p).astype(np.float64)
@@ -336,10 +316,19 @@ def _matmul_mod(A, B, p):
     return out
 
 
-def _np_apply_poly(delta, poly, B, frame):
+def _contract_mod(cur, axis, mat, p):
+    """Axis `axis` of cur contracted with the rows of mat, mod p.  An int64
+    tensordot overflows once sums of len(mat) residue products pass 2**63,
+    as at the word-size primes of the QQ closures; there _matmul_mod."""
+    if cur.dtype == object or _dtype(p, len(mat)) is np.int64:
+        return np.moveaxis(np.tensordot(cur, mat, axes=([axis], [0])) % p, -1, axis)
+    moved = np.moveaxis(cur, axis, -1)
+    out = _matmul_mod(moved.reshape(-1, len(mat)), mat, p)
+    return np.moveaxis(out.reshape(moved.shape), -1, axis)
+
+
+def _np_apply_poly(delta, poly, B, dims, p):
     """poly(delta) applied to a stack of flat tensors (rows of B), mod p."""
-    p = frame.field.p
-    dims = frame.dims
     k = B.shape[0]
     out = np.zeros_like(B)
     for e, c in poly.terms.items():
@@ -347,27 +336,28 @@ def _np_apply_poly(delta, poly, B, frame):
         for a, ka in enumerate(e):
             if ka == 0:
                 continue
-            mat = _np_mats(delta, a, ka)
-            if a == 0:
-                cur = np.tensordot(cur, mat, axes=([1], [1])) % p
-                cur = np.moveaxis(cur, -1, 1)
-            else:
-                cur = np.tensordot(cur, mat, axes=([a + 1], [0])) % p
-                cur = np.moveaxis(cur, -1, a + 1)
-        out = (out + int(c) * cur.reshape(k, -1)) % p
+            mat = _np_mats(delta, a, ka, p)
+            cur = _contract_mod(cur, a + 1, mat.T if a == 0 else mat, p)
+        out = (out + _residue(c, p) * cur.reshape(k, -1)) % p
     return out
 
 
-def _np_poly_matrix(delta, poly, frame):
+# bytes (8 * N**2 on an N-entry frame) above which p(δ) is not built
+_POLY_MATRIX_BUDGET = 1 << 30
+
+
+def _np_poly_matrix(delta, poly, dims, p):
     """poly(delta) mod p as an explicit matrix on flat coordinates: a sum of
     Kronecker products, one per term, accumulated in place."""
-    p = frame.field.p
-    N = frame.size
-    C = np.zeros((N, N), dtype=np.int64)
+    N = math.prod(dims)
+    if 8 * N * N > _POLY_MATRIX_BUDGET:
+        raise BudgetExceeded(f"dense p(δ) on {N} tensor entries exceeds 1 GiB")
+    dtype = _dtype(p)
+    C = np.zeros((N, N), dtype=dtype)
     for e, c in poly.terms.items():
-        fac = np.full((1, 1), int(c) % p, dtype=np.int64)
+        fac = np.full((1, 1), _residue(c, p), dtype=dtype)
         for a, ka in enumerate(e):
-            m = _np_mats(delta, a, ka)
+            m = _np_mats(delta, a, ka, p)
             fac = np.kron(fac, m if a == 0 else m.T)
             np.remainder(fac, p, out=fac)
         C += fac
@@ -375,12 +365,29 @@ def _np_poly_matrix(delta, poly, frame):
     return C
 
 
+def _closure_modp(constraints, dims, p):
+    """Ten(P,Δ) mod p as numpy rows (no denominator of Δ or P divisible by
+    p).  The first constraint's kernel seeds the basis; every further
+    constraint is applied to the whole basis at once and cuts it down to
+    the kernel of that batch."""
+    B = np_nullspace(_np_poly_matrix(*constraints[0], dims, p), p)
+    for delta, poly in constraints[1:]:
+        if B.shape[0] == 0:
+            break
+        applied = _np_apply_poly(delta, poly, B, dims, p)
+        coeffs = np_nullspace(applied.T, p)
+        B = _matmul_mod(coeffs, B, p)
+    return B
+
+
 def ten_closure(P, Delta, frame):
     """Basis of Ten(P,Δ) = {s : apply_polynomial(δ, p, s) = 0 ∀δ,p}.
 
-    Over F_p the first constraint's kernel seeds the basis; every further
-    constraint is applied to the whole basis at once and cuts it down to
-    the kernel of that batch.
+    Over QQ, _closure_modp runs mod word-size primes that divide no
+    denominator of Δ or P and linalg._multimodular_rref lifts the result.
+    The lift is certified once every lifted tensor satisfies every
+    constraint exactly: it spans a subspace of Ten over QQ, of dimension
+    dim Ten mod p >= dim Ten over QQ, so it spans Ten.
     """
     field = frame.field
     for delta in Delta:
@@ -390,26 +397,28 @@ def ten_closure(P, Delta, frame):
     if not constraints:
         basis = identity_matrix(frame.size, field)
         return TensorSpace(frame, [Tensor(frame, b) for b in basis])
-    if _np_ok(field, max(frame.dims) if frame.dims else 1):
-        p = field.p
-        B = np_nullspace(_np_poly_matrix(*constraints[0], frame), p)
-        for delta, poly in constraints[1:]:
-            if B.shape[0] == 0:
-                break
-            applied = _np_apply_poly(delta, poly, B, frame)
-            coeffs = np_nullspace(applied.T, p)
-            B = _matmul_mod(coeffs, B, p)
-        tensors = [Tensor(frame, [int(x) for x in row]) for row in B]
-        return TensorSpace(frame, tensors)
-    basis = identity_matrix(frame.size, field)
-    for delta, poly in constraints:
-        if not basis:
-            break
-        cols = [
-            apply_polynomial(delta, poly, Tensor(frame, b)).coeffs for b in basis
-        ]
-        basis = kernel_restrict(basis, cols, field)
-    return TensorSpace(frame, [Tensor(frame, b) for b in basis])
+    if field.characteristic:
+        B = _closure_modp(constraints, frame.dims, field.p)
+        return TensorSpace(frame, [Tensor(frame, [int(x) for x in row]) for row in B])
+    dens = [c.denominator for _, poly in constraints for c in poly.terms.values()]
+    for delta in Delta:
+        dens.extend(x.denominator for m in delta.mats if m is not None for row in m for x in row)
+    den = math.lcm(*dens)
+
+    def reduce(p):
+        if den % p == 0:
+            return None
+        return np_rref(_closure_modp(constraints, frame.dims, p), p)
+
+    def certify(rows, pivots):
+        return all(
+            apply_polynomial(delta, poly, Tensor(frame, row)).is_zero()
+            for delta, poly in constraints
+            for row in rows
+        )
+
+    rows, _ = _multimodular_rref(frame.size, reduce, certify, sign=1)
+    return TensorSpace(frame, [Tensor(frame, row) for row in rows])
 
 
 def densor(S, der=None):
@@ -449,8 +458,6 @@ _EQUATION_BUDGET = 200_000
 def op_space_equations(S, P, variance=None):
     """Polynomial equations in Σ d_a² entry variables cutting out Op(S,P);
     works for P of any degree, with a budget guard on the symbolic size."""
-    from .errors import BudgetExceeded
-
     if not S:
         raise FrameMismatch("empty tensor set")
     frame = S[0].frame

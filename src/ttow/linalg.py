@@ -1,14 +1,15 @@
 """Exact dense linear algebra: RREF, nullspaces, span arithmetic.
 
-Matrices are lists of rows of field scalars.  Over prime fields the
-elimination runs on numpy int64 arrays (all products of two residues fit a
-machine word for the primes we admit).  Over the rationals it is
-multimodular: each row is scaled to coprime integers, eliminated modulo
-word-size primes with the same numpy kernel, and the RREF is lifted by CRT
-and rational reconstruction (Wang 1981; Monagan, ISSAC 2004).  The lift is
-certified exactly over ZZ before it is returned, so the result is the RREF
-over QQ, not a probable one.  `_rref_generic` eliminates over any field
-with the field's own scalars; it is the reference the tests compare with.
+Matrices are lists of rows of field scalars.  Over a prime field the
+elimination runs on numpy arrays of residues: int64 where products of two
+fit a machine word, Python ints (object arrays) above that.  Over the
+rationals it is multimodular: each row is scaled to coprime integers,
+eliminated modulo word-size primes with the same numpy kernel, and the RREF
+is lifted by CRT and rational reconstruction (Wang 1981; Monagan, ISSAC
+2004) in `_multimodular_rref`, which galois.ten_closure shares.  The lift
+is certified exactly before it is returned, so the result is the RREF over
+QQ, not a probable one.  `_rref_generic` eliminates over any field with
+the field's own scalars; it is the reference the tests compare with.
 """
 
 import math
@@ -18,17 +19,18 @@ from itertools import count
 import numpy as np
 
 from .errors import DimensionMismatch
-from .fields import QQ, PrimeField, _is_prime
+from .fields import QQ, _is_prime
 
 
-def _np_ok(field, inner=1):
-    # products a*b with a,b < p and sums of `inner` of them must fit int64
-    return isinstance(field, PrimeField) and (field.p - 1) ** 2 * max(inner, 1) < (1 << 62)
+def _dtype(p, inner=1):
+    # int64 where sums of `inner` products of two residues mod p fit
+    return np.int64 if (p - 1) ** 2 * inner < 1 << 62 else object
 
 
 def np_rref(A, p):
-    """RREF of an int64 numpy array mod p.  Returns (R, pivot_cols)."""
-    A = np.array(A, dtype=np.int64) % p
+    """RREF of an integer matrix mod p, as a numpy array of residues.
+    Returns (R, pivot_cols)."""
+    A = np.array(A, dtype=_dtype(p)) % p
     m, n = A.shape
     pivots = []
     r = 0
@@ -52,16 +54,15 @@ def np_rref(A, p):
 
 
 def np_nullspace(A, p):
-    """Right-kernel basis of an int64 numpy matrix mod p, as numpy rows.
+    """Right-kernel basis of an integer matrix mod p, as numpy rows.
 
     Same canonical form as nullspace(): one vector per free column.
     """
-    A = np.asarray(A, dtype=np.int64)
-    n = A.shape[1]
     R, pivots = np_rref(A, p)
+    n = R.shape[1]
     pivset = set(pivots)
     free = [c for c in range(n) if c not in pivset]
-    basis = np.zeros((len(free), n), dtype=np.int64)
+    basis = np.zeros((len(free), n), dtype=R.dtype)
     for row, fc in enumerate(free):
         basis[row, fc] = 1
         if pivots:
@@ -116,6 +117,12 @@ def _prime(i):
     return _PRIMES[i]
 
 
+def _integer_scaled(values):
+    """Rationals times the lcm of their denominators (ints: unchanged)."""
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
 def _integer_rows(rows):
     """The distinct nonzero rows of a rational matrix, each scaled by a
     positive rational to coprime integers (same row space, same RREF), and
@@ -123,12 +130,7 @@ def _integer_rows(rows):
     out = {}
     bits = 0
     for row in rows:
-        den = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                den = den * d // math.gcd(den, d)
-        ints = [x.numerator * (den // x.denominator) for x in row]
+        ints = _integer_scaled(row)
         g = math.gcd(*ints)
         if g == 0:
             continue
@@ -167,52 +169,24 @@ def _lift(X, m):
     return out
 
 
-def _certified(A, bits, pivots, free, fracs):
-    """Whether every row a of the integer matrix A satisfies
-    a[free] == a[pivots] @ fracs exactly, i.e. row(A) lies in the row space
-    of the candidate RREF.  Each column of fracs is brought to a common
-    denominator d and the check made as d * a[free] == a[pivots] @ numerators:
-    in int64 when the bound 2**(bits + max(numerator bits + rank bits,
-    denominator bits)) on both sides stays below 2**62, otherwise in Python
-    ints."""
-    dens = [1] * len(free)
-    for row in fracs:
-        for j, (_, b) in enumerate(row):
-            dens[j] = dens[j] * b // math.gcd(dens[j], b)
-    nums = [[a * (dens[j] // b) for j, (a, b) in enumerate(row)] for row in fracs]
-    nbits = max(abs(a).bit_length() for row in nums for a in row)
-    dbits = max(dens).bit_length()
-    dtype = object
-    if bits + max(nbits + len(pivots).bit_length(), dbits) < 62:
-        dtype = np.int64
-    A = A.astype(dtype, copy=False)
-    N = np.array(nums, dtype=dtype)
-    D = np.array(dens, dtype=dtype)
-    return np.array_equal(A[:, free] * D, A[:, pivots] @ N)
-
-
-def _rref_rational(rows):
-    """RREF over QQ by word-size primes, CRT and rational reconstruction.
-
-    A prime whose rank is below, or whose pivot columns come
-    lexicographically after, those of another prime is unlucky and is
-    dropped.  Rational reconstruction is tried only when the number of
-    combined primes reaches 1, 2, 4, 8, ...: each try costs time quadratic
-    in the size of the modulus, so trying after every prime would make the
-    whole lift cubic in the number of primes.  The lift R is returned only
-    once every input row a satisfies a[free] = a[pivots] R[:, free] over
-    ZZ: then row(A) ⊆ row(R), and rank R = rank_p A <= rank_QQ A, so R is
-    the RREF of A.  Until then more primes are added.
+def _multimodular_rref(n, reduce, certify, sign):
+    """(rows, pivots): the RREF over QQ of a space of n-vectors, from its
+    RREFs mod the primes of `_prime`, which reduce(p) returns as np_rref
+    does, or None for a prime to skip.  Mod p the pivots can only move
+    right and the dimension only drop (sign -1: a row space) or grow
+    (sign +1: a kernel), so a prime whose (sign * dimension, pivots)
+    exceeds another's is unlucky and dropped.  Reconstruction is tried
+    when the number of combined primes reaches 1, 2, 4, 8, ...: each try
+    is quadratic in the modulus, so trying at every prime would make the
+    lift cubic.  The lift is returned once certify(rows, pivots) holds.
     """
-    Z, bits = _integer_rows(rows)
-    if not Z:
-        return [], []
-    n = len(Z[0])
-    A = np.array(Z, dtype=np.int64 if bits < 64 else object)
-    best = None  # (-rank, pivots) of the primes combined so far: least is best
+    best = None  # key of the primes combined so far: least is best
     for p in map(_prime, count()):
-        R, pivots = np_rref(A % p, p)
-        key = (-len(pivots), pivots)
+        reduced = reduce(p)
+        if reduced is None:
+            continue
+        R, pivots = reduced
+        key = (sign * len(pivots), pivots)
         if best is not None and key > best:
             continue
         pivset = set(pivots)
@@ -228,18 +202,60 @@ def _rref_rational(rows):
         if k & (k - 1):
             continue
         fracs = _lift(X, m)
-        # with no free column the check is empty: rank n forces R = I
-        if fracs is not None and (not free or _certified(A, bits, pivots, free, fracs)):
-            break
-    out = []
-    for i, pcol in enumerate(pivots):
-        row = [QQ.zero] * n
-        row[pcol] = QQ.one
-        for c, (a, b) in zip(free, fracs[i]):
-            if a:
-                row[c] = Fraction(a, b)
-        out.append(row)
-    return out, pivots
+        if fracs is None:
+            continue
+        rows = [[QQ.zero] * n for _ in pivots]
+        for row, pcol, lifted in zip(rows, pivots, fracs):
+            row[pcol] = QQ.one
+            for c, (a, b) in zip(free, lifted):
+                if a:
+                    row[c] = Fraction(a, b)
+        if certify(rows, pivots):
+            return rows, pivots
+
+
+def _certified(A, bits, rows, pivots):
+    """Whether every row a of the integer matrix A satisfies
+    a[free] == a[pivots] @ R[:, free] for the candidate RREF R (rows),
+    i.e. row(A) ⊆ row(R), checked as d * a[free] == a[pivots] @ numerators
+    with d the common denominator of each free column: in int64 while
+    2**(bits + max(numerator bits + rank bits, denominator bits)) < 2**62,
+    otherwise in Python ints."""
+    pivset = set(pivots)
+    free = [c for c in range(A.shape[1]) if c not in pivset]
+    if not free:
+        return True  # rank n forces R = I
+    dens = [math.lcm(*(row[c].denominator for row in rows)) for c in free]
+    nums = [[row[c].numerator * (d // row[c].denominator) for c, d in zip(free, dens)]
+            for row in rows]
+    nbits = max(abs(a).bit_length() for row in nums for a in row)
+    dbits = max(dens).bit_length()
+    dtype = object
+    if bits + max(nbits + len(pivots).bit_length(), dbits) < 62:
+        dtype = np.int64
+    A = A.astype(dtype, copy=False)
+    N = np.array(nums, dtype=dtype)
+    D = np.array(dens, dtype=dtype)
+    return np.array_equal(A[:, free] * D, A[:, pivots] @ N)
+
+
+def _rref_rational(rows):
+    """RREF over QQ by word-size primes, CRT and rational reconstruction
+    (`_multimodular_rref`).  The lift R is certified once every input row
+    a satisfies a[free] = a[pivots] R[:, free] over ZZ: then
+    row(A) ⊆ row(R), and rank R = rank_p A <= rank_QQ A, so R is the RREF
+    of A.
+    """
+    Z, bits = _integer_rows(rows)
+    if not Z:
+        return [], []
+    A = np.array(Z, dtype=np.int64 if bits < 64 else object)
+    return _multimodular_rref(
+        A.shape[1],
+        lambda p: np_rref(A % p, p),
+        lambda R, pivots: _certified(A, bits, R, pivots),
+        sign=-1,
+    )
 
 
 def rref(rows, field):
@@ -247,12 +263,10 @@ def rref(rows, field):
     rows = list(rows)
     if not rows:
         return [], []
-    if _np_ok(field):
-        R, pivots = np_rref([[int(x) for x in r] for r in rows], field.p)
-        return [[int(x) for x in r] for r in R], pivots
     if field.characteristic == 0:
         return _rref_rational(rows)
-    return _rref_generic(rows, field)
+    R, pivots = np_rref([[int(x) for x in r] for r in rows], field.p)
+    return [[int(x) for x in r] for r in R], pivots
 
 
 def rank(rows, field):
@@ -279,19 +293,9 @@ def nullspace(rows, ncols, field):
     return basis
 
 
-def transpose(rows, ncols, field):
-    if not rows:
-        return [[] for _ in range(ncols)] if ncols else []
-    return [[row[j] for row in rows] for j in range(ncols)]
-
-
 def left_nullspace(rows, ncols, field):
     """Basis of {y : yM = 0}; the cokernel of M as row vectors."""
-    nrows = len(rows)
-    if nrows == 0:
-        return []
-    cols = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
-    return nullspace(cols, nrows, field)
+    return nullspace(mat_transpose(rows), len(rows), field) if rows else []
 
 
 def row_basis(rows, field):
@@ -354,29 +358,3 @@ def mat_transpose(A):
     if not A:
         return []
     return [list(col) for col in zip(*A)]
-
-
-def kernel_restrict(basis, constraint_cols, field):
-    """Restrict a solution-space basis by new constraints.
-
-    basis: list of flat vectors spanning the current space.
-    constraint_cols: for each basis vector, the image under the constraint
-    map (stacked as columns of M).  Returns the sub-basis spanning the
-    kernel of the constraint map restricted to the span.
-    """
-    if not basis:
-        return []
-    m = len(constraint_cols[0])
-    rows = [[constraint_cols[j][i] for j in range(len(basis))] for i in range(m)]
-    K = nullspace(rows, len(basis), field)
-    out = []
-    for coeffs in K:
-        vec = [field.zero] * len(basis[0])
-        for c, b in zip(coeffs, basis):
-            if field.is_zero(c):
-                continue
-            for j, y in enumerate(b):
-                if not field.is_zero(y):
-                    vec[j] = field.add(vec[j], field.mul(c, y))
-        out.append(vec)
-    return out

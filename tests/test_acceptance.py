@@ -107,7 +107,7 @@ def test_acceptance_3_densor_truncated_polynomial_algebras():
     The multiplication triples are built from the centroid basis
     (c_0, c_1, c_2) as (c_0, c_1, 0) and (c_0, 0, c_2): the centroid
     satisfies x_0 - x_1 and x_0 - x_2, so both satisfy d whatever the
-    per-axis action convention.  Each step runs over QQ (generic closure)
+    per-axis action convention.  Each step runs over QQ (multimodular closure)
     and over F_101 (numpy closure).
     """
     for field in (QQ, PrimeField(101)):

@@ -15,7 +15,7 @@ from ttow.categories import (
 )
 from ttow.cli import named_fixture
 from ttow.errors import CertificationFailed, NotComposable, ShapeMismatch
-from ttow.linalg import identity_matrix, mat_mul, transpose
+from ttow.linalg import identity_matrix, mat_mul, mat_transpose
 from ttow.polys import poly_from_string
 
 
@@ -119,12 +119,12 @@ def test_adjoint_category_morphisms_compose_by_transpose():
     cat = TensorCategory(2, (0, 1, -1))
     om = [[QQ.from_int(k) for k in row] for row in [[1, 2, 0], [0, 1, 3], [1, 0, 1]]]
     ta = [[QQ.from_int(k) for k in row] for row in [[2, 0, 1], [1, 1, 0], [0, 1, 1]]]
-    f = Homotopism(t, t, [None, om, transpose(om, 3, QQ)], cat)
-    g = Homotopism(t, t, [None, ta, transpose(ta, 3, QQ)], cat)
+    f = Homotopism(t, t, [None, om, mat_transpose(om)], cat)
+    g = Homotopism(t, t, [None, ta, mat_transpose(ta)], cat)
     h = compose_homotopisms(f, g)
     prod = mat_mul(om, ta, QQ)
     assert h.maps[1] == prod
-    assert h.maps[2] == transpose(prod, 3, QQ)
+    assert h.maps[2] == mat_transpose(prod)
 
 
 def test_compose_rejects_category_mismatch():

@@ -5,7 +5,7 @@ import pytest
 
 from ttow import QQ, PrimeField
 from ttow.errors import DivisionByZero, ValidationError
-from ttow.fields import field_from_json
+from ttow.fields import _is_prime, field_from_json
 
 
 def test_rational_basics():
@@ -52,3 +52,36 @@ def test_random_nonzero_is_nonzero():
     for _ in range(50):
         assert F.random_nonzero(rng) != 0
         assert QQ.random_nonzero(rng) != 0
+
+
+def _trial_division_is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division_below_20000():
+    assert [n for n in range(20000) if _is_prime(n)] == [
+        n for n in range(20000) if _trial_division_is_prime(n)
+    ]
+
+
+def test_is_prime_rejects_carmichael_numbers_and_strong_pseudoprimes():
+    # 561 and 41041 are Carmichael numbers; 3215031751 is a strong
+    # pseudoprime to bases 2, 3, 5 and 7; 3825123056546413051 to every
+    # prime base up to 23
+    for n in (561, 41041, 3215031751, 3825123056546413051):
+        assert not _is_prime(n)
+
+
+def test_is_prime_accepts_the_largest_admitted_primes():
+    for p in ((1 << 61) - 1, (1 << 62) - 57):
+        assert _is_prime(p)
+        assert PrimeField(p).p == p
+    with pytest.raises(ValidationError):
+        PrimeField((1 << 62) + 135)  # prime, but above the admitted range

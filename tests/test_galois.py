@@ -21,9 +21,21 @@ from ttow import (
     ten_closure,
     torus_transform,
 )
-from ttow.errors import ZeroTorusEntry
-from ttow.fixtures import dotprod, ghz, matmul, sl_bracket, trunc_poly, w_state
+from ttow import galois
+from ttow.errors import BudgetExceeded, ZeroTorusEntry
+from ttow.fixtures import (
+    cplx_as_real,
+    dotprod,
+    ghz,
+    matmul,
+    sl_bracket,
+    trunc_poly,
+    upper_triangular,
+    w_state,
+)
 from ttow.galois import ProductLaw, torus_relation_holds, torus_scale_space
+from ttow.linalg import _prime, _rref_generic, mat_inv, mat_mul
+from ttow.operators import op_flat
 from ttow.polys import centroid_polys, derivation_poly, poly_from_string
 
 F101 = PrimeField(101)
@@ -170,6 +182,16 @@ def test_ten_closure_of_diagonal_operators_on_a_4096_frame():
     assert space.dimension == 153
 
 
+def test_ten_closure_refuses_a_dense_system_above_its_memory_budget():
+    # p(δ) on the 27^3 Albert-sized frame would be a 19683^2 int64 matrix
+    # (3.1 GB); both fields refuse it before allocating anything
+    for field in (F101, QQ):
+        frame = Frame((27, 27, 27), field)
+        delta = TransverseOperator.identity(frame)
+        with pytest.raises(BudgetExceeded):
+            ten_closure([derivation_poly(2, field)], [delta], frame)
+
+
 def test_densor_contains_its_input():
     for t in (ghz(QQ), w_state(QQ), trunc_poly(2), matmul(2, QQ)):
         assert densor([t]).contains(t)
@@ -259,3 +281,187 @@ def test_torus_rejects_zero():
 def test_torus_relation_on_ghz():
     tau = [Fraction(2), Fraction(1), Fraction(1)]
     assert torus_relation_holds([ghz(QQ)], [derivation_poly(2)], tau)
+
+
+# -- closures over QQ: multimodular, lifted and certified ---------------------
+
+
+def _kernel_rref(rows, n):
+    """RREF basis of {x in QQ^n : row · x = 0 for every row}, by Fraction
+    elimination."""
+    R, pivots = _rref_generic(rows, QQ)
+    kernel = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        vec = [QQ.zero] * n
+        vec[free] = QQ.one
+        for row, pcol in zip(R, pivots):
+            vec[pcol] = -row[free]
+        kernel.append(vec)
+    return _rref_generic(kernel, QQ)[0]
+
+
+def _reference_closure(P, Delta, frame):
+    """RREF basis of Ten(P,Δ) over QQ: the kernel of the explicit stacked
+    images of the unit tensors."""
+    n = frame.size
+    units = [Tensor.from_entries(frame, {idx: QQ.one}) for idx in frame.indices()]
+    rows = []
+    for delta in Delta:
+        for p in P:
+            images = [apply_polynomial(delta, p, u).coeffs for u in units]
+            rows.extend([images[j][i] for j in range(n)] for i in range(n))
+    return _kernel_rref(rows, n)
+
+
+def _basis(space):
+    return [b.coeffs for b in space.basis]
+
+
+def _rand_fraction(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def _rand_operator_qq(frame, rng):
+    return TransverseOperator(
+        frame, [[[_rand_fraction(rng) for _ in range(d)] for _ in range(d)] for d in frame.dims]
+    )
+
+
+def _conjugated_diagonal(frame, eigenvalues, rng):
+    """An operator whose axis-a matrix is Q diag(eigenvalues[a]) Q^-1 for a
+    random rational Q."""
+    mats = []
+    for lam in eigenvalues:
+        d = len(lam)
+        while True:
+            Q = [[_rand_fraction(rng) for _ in range(d)] for _ in range(d)]
+            Qinv = mat_inv(Q, QQ)
+            if Qinv is not None:
+                break
+        D = [[Fraction(lam[i]) if i == j else QQ.zero for j in range(d)] for i in range(d)]
+        mats.append(mat_mul(mat_mul(Q, D, QQ), Qinv, QQ))
+    return TransverseOperator(frame, mats)
+
+
+def _scaled(delta, c):
+    mats = [[[c * x for x in row] for row in m] for m in delta.mats]
+    return TransverseOperator(delta.frame, mats, delta.variance)
+
+
+QQ_FIXTURES = [
+    ghz(QQ),
+    w_state(QQ),
+    sl_bracket(2, QQ),
+    matmul(2, QQ),
+    cplx_as_real(QQ),
+    upper_triangular(QQ),
+    trunc_poly(4),
+]
+
+
+def test_qq_closure_of_fixture_derivations_matches_fraction_elimination():
+    d = [derivation_poly(2)]
+    for t in QQ_FIXTURES:
+        Delta = named_algebra([t], "derivations").basis
+        assert _basis(ten_closure(d, Delta, t.frame)) == _reference_closure(d, Delta, t.frame)
+
+
+def test_qq_closure_of_seeded_rational_operators_matches_fraction_elimination():
+    # eigenvalues with a_i = b_j + c_k (derivation trait) or a_i^2 = b_j c_k
+    # (the quadratic trait) for some triples, conjugated by random rational
+    # matrices, give nonzero closures with non-integer entries
+    traits = [[derivation_poly(2)], [P("x0^2 - x1*x2", 3)]]
+    eigen = [
+        [(3, 1, 2), (1, 2), (0, 2)],
+        [(1, 4), (1, 2), (1, 2)],
+        [(2, -1), (1, 1), (1, -2)],
+    ]
+    nonzero = 0
+    for seed in range(6):
+        rng = random.Random(seed)
+        lams = eigen[seed % 3]
+        frame = Frame(tuple(len(x) for x in lams), QQ)
+        delta = _conjugated_diagonal(frame, lams, rng)
+        twice = _scaled(delta, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        cases = [(Pl, Delta) for Pl in traits for Delta in ([delta], [delta, twice])]
+        cases.append((traits[0], [delta, _rand_operator_qq(frame, rng)]))
+        for Pl, Delta in cases:
+            got = _basis(ten_closure(Pl, Delta, frame))
+            assert got == _reference_closure(Pl, Delta, frame)
+            nonzero += bool(got)
+    assert nonzero >= 12
+
+
+def test_qq_operator_space_of_rational_tensors_matches_fraction_elimination():
+    # op_space_linear scales each tensor and each trait to integers; the
+    # reference eliminates the linear equations of op_space_equations
+    rng = random.Random(5)
+    traits = [[derivation_poly(2)], [P("x0 - 1/2*x1 + 3/4*x2", 3)]]
+    for dims in ((2, 2, 2), (2, 3, 2), (3, 2, 2)):
+        frame = Frame(dims, QQ)
+        t = Tensor(frame, [_rand_fraction(rng) for _ in range(frame.size)])
+        for Pl in traits:
+            system = op_space_equations([t], Pl)
+            n = len(system.labels)
+            units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+            rows = [[eq.terms.get(u, QQ.zero) for u in units] for eq in system.equations]
+            got = _rref_generic([op_flat(b) for b in op_space_linear([t], Pl).basis], QQ)[0]
+            assert got == _kernel_rref(rows, n)
+
+
+def test_qq_closure_survives_unlucky_and_bad_first_primes(monkeypatch):
+    # Scaling δ never changes Ten for the derivation trait, which is linear
+    # in δ.  Δ scaled by the first prime vanishes mod that prime, so there
+    # every tensor is in the kernel.  In a pair [δ, δ'] whose closure is
+    # smaller than that of δ alone, scaling δ' alone leaves that prime one
+    # constraint short.  Δ divided by the first prime cannot be reduced mod
+    # it, so that prime is skipped.
+    p0 = _prime(0)
+    d = [derivation_poly(2)]
+    reduced_at = []
+    closure_modp = galois._closure_modp
+
+    def recording(constraints, dims, p):
+        reduced_at.append(p)
+        return closure_modp(constraints, dims, p)
+
+    monkeypatch.setattr(galois, "_closure_modp", recording)
+    for t in (ghz(QQ), sl_bracket(2, QQ), matmul(2, QQ)):
+        frame = t.frame
+        Delta = named_algebra([t], "derivations").basis
+        alone = ten_closure(d, Delta[:1], frame)
+        pair = next([Delta[0], x] for x in Delta[1:] if ten_closure(d, [Delta[0], x], frame) != alone)
+        for ops, unlucky in (
+            (Delta, [_scaled(x, p0) for x in Delta]),
+            (pair, [pair[0], _scaled(pair[1], p0)]),
+        ):
+            want = ten_closure(d, ops, frame)
+            reduced_at.clear()
+            assert ten_closure(d, unlucky, frame) == want
+            assert reduced_at[0] == p0 and len(reduced_at) > 1
+        want = ten_closure(d, Delta, frame)
+        reduced_at.clear()
+        assert ten_closure(d, [_scaled(x, Fraction(1, p0)) for x in Delta], frame) == want
+        assert reduced_at and p0 not in reduced_at
+
+
+# -- primes above the int64 range of the kernel ------------------------------
+
+
+def test_large_prime_algebras_match_f101():
+    # (der, densor) dimensions; at these primes residues are Python ints
+    expected = {"ghz": (4, 2), "w": (5, 1), "sl2": (10, 1), "matmul-2": (11, 1)}
+    makers = {
+        "ghz": ghz,
+        "w": w_state,
+        "sl2": lambda f: sl_bracket(2, f),
+        "matmul-2": lambda f: matmul(2, f),
+    }
+    for p in (101, (1 << 61) - 1, (1 << 62) - 57):
+        field = PrimeField(p)
+        for name, make in makers.items():
+            t = make(field)
+            der = named_algebra([t], "derivations")
+            assert (der.dimension, densor([t], der).dimension) == expected[name], (name, p)

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from ttow import QQ, PrimeField
 from ttow.galois import _matmul_mod
 from ttow.linalg import (
+    _dtype,
     _prime,
     _rref_generic,
     identity_matrix,
     in_span,
-    kernel_restrict,
     left_nullspace,
     mat_inv,
     mat_mul,
@@ -26,6 +26,8 @@ from ttow.linalg import (
 )
 
 F101 = PrimeField(101)
+# residues mod these primes are held as Python ints in object arrays
+LARGE_PRIMES = ((1 << 61) - 1, (1 << 62) - 57)
 
 
 def _rand_matrix(rng, rows, cols, field):
@@ -109,16 +111,6 @@ def test_in_span_and_reduce_against():
     rows, piv = rref([[Fraction(1), Fraction(0), Fraction(1)]], QQ)
     assert in_span([Fraction(2), Fraction(0), Fraction(2)], rows, piv, QQ)
     assert not in_span([Fraction(1), Fraction(1), Fraction(0)], rows, piv, QQ)
-
-
-def test_kernel_restrict():
-    # basis of QQ^3; constraint x0 + x1 + x2 = 0 leaves a 2-dim subspace
-    basis = identity_matrix(3, QQ)
-    images = [[Fraction(1)], [Fraction(1)], [Fraction(1)]]  # per-vector constraint image
-    sub = kernel_restrict(basis, images, QQ)
-    assert len(sub) == 2
-    for v in sub:
-        assert sum(v, Fraction(0)) == 0
 
 
 # -- the multimodular QQ kernel against Fraction elimination ------------------
@@ -215,12 +207,43 @@ def test_multimodular_rref_discards_an_unlucky_first_prime():
 
 def test_matmul_mod_is_exact_for_large_admitted_primes():
     # at p = 500000003, inner * (p - 1)**2 is far above 2**63, so a plain
-    # int64 A @ B would wrap; p = 101 takes the single float64 product
+    # int64 A @ B would wrap; p = 101 takes the single float64 product, and
+    # the primes above 2**31 multiply Python ints
     rng = random.Random(23)
-    for p in (101, 500000003):
+    for p in (101, 500000003) + LARGE_PRIMES:
         A = [[rng.randrange(p) for _ in range(4096)] for _ in range(2)]
         B = [[rng.randrange(p) for _ in range(2)] for _ in range(4096)]
         want = [[sum(A[i][k] * B[k][j] for k in range(4096)) % p for j in range(2)]
                 for i in range(2)]
-        got = _matmul_mod(np.array(A, dtype=np.int64), np.array(B, dtype=np.int64), p)
+        got = _matmul_mod(np.array(A, dtype=_dtype(p)), np.array(B, dtype=_dtype(p)), p)
         assert got.tolist() == want
+
+
+# -- primes above the int64 range of the kernel ------------------------------
+
+
+def _modp_matrices(p, seed):
+    rng = random.Random(seed)
+    F = PrimeField(p)
+    mats = [_rand_matrix(rng, 5, 7, F), _rand_matrix(rng, 7, 4, F)]
+    for m, n, k in ((6, 8, 3), (7, 5, 2), (4, 6, 0)):
+        B, C = _rand_matrix(rng, m, k, F), _rand_matrix(rng, k, n, F)
+        mats.append(mat_mul(B, C, F) if k else [[0] * n for _ in range(m)])
+    return F, mats
+
+
+def test_rref_and_nullspace_at_large_primes_match_generic_elimination():
+    for seed, p in enumerate(LARGE_PRIMES):
+        F, mats = _modp_matrices(p, seed)
+        for A in mats:
+            n = len(A[0])
+            R, piv = rref(A, F)
+            assert (R, piv) == _rref_generic(A, F)
+            rank = len(R)
+            N = nullspace(A, n, F)
+            assert len(N) == n - rank
+            assert spans_equal(N, [list(map(int, r)) for r in np_nullspace(A, p)], F)
+            for v in N:
+                assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in A)
+        # the rank-deficient products have the rank of their inner dimension
+        assert [len(rref(A, F)[0]) for A in mats[2:]] == [3, 2, 0]
