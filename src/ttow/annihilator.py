@@ -1,65 +1,80 @@
 """Annihilator ideals Id(t, ω) and Id(S, Δ) via the cokernel pipeline:
 rows of monomial actions over the exponent box, left nullspace, Buchberger.
+
+The box rows of a tensor under all operators at once come from one batched
+numpy kernel (`npaction.box_action`) on every field.  Over QQ it runs on
+integers: axis a of every operator is scaled by D_a, the lcm of its
+denominators across the operators.  Row e then carries the factor
+∏ D_a^{e_a}, the substitution x_a -> x_a / D_a, so a cokernel vector c' of
+the integer rows gives c_e = c'_e ∏ D_a^{e_a}, the same span and ideal.
 """
 
+import math
 import warnings
 
+import numpy as np
+
 from .errors import FrameMismatch
+from .fields import QQ
 from .groebner import Ideal, box_exponents, intersect
-from .linalg import left_nullspace, reduce_against, rref
+from .linalg import np_nullspace, nullspace, reduce_against, rref
+from .npaction import box_action, operator_stacks, tensor_array
 from .operators import apply_monomial
 from .polys import GREVLEX, MultiPoly
 
 
-def _box_rows(t, omega, bounds):
-    """apply_monomial over the exponent box, reusing partial applications.
+def _unscaled(vec, rowscale):
+    """c_e = c'_e · rowscale_e, normalised as nullspace() normalises: 1 at
+    the free column, which is the last nonzero entry (1 in c' too)."""
+    free = max(i for i, x in enumerate(vec) if x)
+    return [x * s / rowscale[free] if x else x for x, s in zip(vec, rowscale)]
 
-    Exponents are enumerated so that each tensor is one contraction away
-    from an already-computed predecessor.
-    """
+
+def _annihilator(tensors, operators, bounds, order):
+    """One cokernel over the exponent box, with the action rows of every
+    (t, ω) pair side by side.  An axis that some operator holds constant
+    gets bound 0: the polynomial action never moves it."""
+    frame = tensors[0].frame
+    for t in tensors:
+        for omega in operators:
+            if t.frame != omega.frame:
+                raise FrameMismatch("tensor and operator frames differ")
+    field = frame.field
+    nvars = len(frame.dims)
+    if bounds is None:
+        bounds = list(frame.dims)
+    else:
+        bounds = [min(b, d) for b, d in zip(bounds, frame.dims)]
+    for a in range(nvars):
+        if any(omega.variance[a] == 0 for omega in operators):
+            bounds[a] = 0
     exps = box_exponents(bounds)
-    cache = {(0,) * len(bounds): t}
-    rows = []
-    for e in exps:
-        if e not in cache:
-            a = max(i for i, k in enumerate(e) if k > 0)
-            prev = list(e)
-            prev[a] -= 1
-            base = cache[tuple(prev)]
-            unit = [0] * len(bounds)
-            unit[a] = 1
-            cache[e] = apply_monomial(omega, unit, base)
-        rows.append(cache[e].coeffs)
-    return exps, rows
+    p = field.characteristic or None
+    stacks, scales = operator_stacks(operators, p)
+    rows = np.hstack([
+        box_action(tensor_array(t, p, stacks[0].dtype), stacks, bounds, p) for t in tensors
+    ])
+    if p is None:
+        coker = nullspace(rows.T.tolist(), len(exps), QQ)
+        if any(D != 1 for D in scales):
+            rowscale = [math.prod(D**k for D, k in zip(scales, e)) for e in exps]
+            coker = [_unscaled(vec, rowscale) for vec in coker]
+    else:
+        coker = np_nullspace(rows.T, p).tolist()
+    gens = [MultiPoly(field, nvars, dict(zip(exps, vec))) for vec in coker]
+    return Ideal.zero(field, nvars, order) if not gens else Ideal(gens, order)
 
 
 def ann_operator(t, omega, bounds=None, order=GREVLEX):
     """The annihilator ideal of (t, ω), complete by Cayley-Hamilton within
     the per-axis exponent box {0..d_a}."""
-    if t.frame != omega.frame:
-        raise FrameMismatch("tensor and operator frames differ")
-    dims = t.frame.dims
-    nvars = len(dims)
-    field = t.frame.field
-    if bounds is None:
-        bounds = list(dims)
-    else:
-        bounds = list(bounds)
-        for a, (b, d) in enumerate(zip(bounds, dims)):
+    if bounds is not None:
+        for a, (b, d) in enumerate(zip(bounds, t.frame.dims)):
             if b > d:
                 warnings.warn(
                     f"axis {a} bound {b} capped to {d}: larger is redundant"
                 )
-                bounds[a] = d
-    for a, s in enumerate(omega.variance):
-        if s == 0:
-            bounds[a] = 0
-    exps, rows = _box_rows(t, omega, bounds)
-    coker = left_nullspace(rows, t.frame.size, field)
-    gens = [
-        MultiPoly(field, nvars, {e: c for e, c in zip(exps, vec)}) for vec in coker
-    ]
-    return Ideal.zero(field, nvars, order) if not gens else Ideal(gens, order)
+    return _annihilator([t], [omega], bounds, order)
 
 
 def ann_set(tensors, operators, bounds=None, order=GREVLEX):
@@ -84,35 +99,13 @@ def joint_annihilator(tensors, operators, bounds=None, order=GREVLEX):
     Unlike ``ann_set`` this never picks up incidental high-degree members
     of the pairwise intersection (such as products of per-operator minimal
     polynomials), so for a sampled operator family it converges onto the
-    ideal of traits shared by the whole family.
+    ideal of traits shared by the whole family.  An axis that some operator
+    holds constant (variance 0) carries no variable: its bound is 0, as in
+    ``ann_operator``.
     """
     if not tensors or not operators:
         raise FrameMismatch("empty tensor or operator set")
-    frame = tensors[0].frame
-    field = frame.field
-    nvars = len(frame.dims)
-    if bounds is None:
-        bounds = list(frame.dims)
-    else:
-        bounds = [min(b, d) for b, d in zip(bounds, frame.dims)]
-    exps = None
-    stacked = None
-    for t in tensors:
-        for omega in operators:
-            if t.frame != omega.frame:
-                raise FrameMismatch("tensor and operator frames differ")
-            es, rows = _box_rows(t, omega, bounds)
-            if exps is None:
-                exps = es
-                stacked = [list(r) for r in rows]
-            else:
-                for acc, r in zip(stacked, rows):
-                    acc.extend(r)
-    coker = left_nullspace(stacked, len(stacked[0]), field)
-    gens = [
-        MultiPoly(field, nvars, {e: c for e, c in zip(exps, vec)}) for vec in coker
-    ]
-    return Ideal.zero(field, nvars, order) if not gens else Ideal(gens, order)
+    return _annihilator(tensors, operators, bounds, order)
 
 
 def min_poly_axis(t, omega, a, order=GREVLEX):

@@ -35,11 +35,17 @@ from .linalg import (
     rref,
     spans_equal,
 )
+from .npaction import (
+    _matmul_mod,
+    _np_apply_poly,
+    _np_mats,
+    _residue,
+    integral_constraint,
+)
 from .operators import (
     TransverseOperator,
     active_axes,
     all_covariant,
-    apply_polynomial,
     op_flat,
     op_from_flat,
 )
@@ -281,67 +287,6 @@ def check_product_closure(space, law):
     return True, None
 
 
-def _residue(x, p):
-    """An int or Fraction scalar mod p (p must not divide its denominator)."""
-    return x.numerator * pow(x.denominator, -1, p) % p
-
-
-def _np_mats(omega, a, k, p):
-    return np.array(
-        [[_residue(x, p) for x in row] for row in omega.power(a, k)], dtype=_dtype(p)
-    )
-
-
-def _matmul_mod(A, B, p):
-    """Exact A @ B mod p, for every prime that PrimeField admits.  Integer
-    matmul in numpy bypasses BLAS; when every inner product fits a float64
-    mantissa we reduce, multiply as floats, and round back, which is an
-    order of magnitude faster on large matrices.  Otherwise int64 residues
-    cut the inner dimension into chunks whose partial sums stay below
-    2**63, each reduced mod p before the next is added; Python ints in
-    object arrays multiply directly."""
-    if _dtype(p) is object:
-        return (A @ B) % p
-    sq = (p - 1) ** 2
-    if A.shape[1] * sq < 2**53:
-        prod = (A % p).astype(np.float64) @ (B % p).astype(np.float64)
-        return np.rint(prod % p).astype(np.int64) % p
-    step = (2**63 - 1) // sq
-    A = A % p
-    B = B % p
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for k in range(0, A.shape[1], step):
-        prod = (A[:, k : k + step] @ B[k : k + step]) % p
-        out = (out + prod.astype(np.int64)) % p
-    return out
-
-
-def _contract_mod(cur, axis, mat, p):
-    """Axis `axis` of cur contracted with the rows of mat, mod p.  An int64
-    tensordot overflows once sums of len(mat) residue products pass 2**63,
-    as at the word-size primes of the QQ closures; there _matmul_mod."""
-    if cur.dtype == object or _dtype(p, len(mat)) is np.int64:
-        return np.moveaxis(np.tensordot(cur, mat, axes=([axis], [0])) % p, -1, axis)
-    moved = np.moveaxis(cur, axis, -1)
-    out = _matmul_mod(moved.reshape(-1, len(mat)), mat, p)
-    return np.moveaxis(out.reshape(moved.shape), -1, axis)
-
-
-def _np_apply_poly(delta, poly, B, dims, p):
-    """poly(delta) applied to a stack of flat tensors (rows of B), mod p."""
-    k = B.shape[0]
-    out = np.zeros_like(B)
-    for e, c in poly.terms.items():
-        cur = B.reshape((k,) + dims)
-        for a, ka in enumerate(e):
-            if ka == 0:
-                continue
-            mat = _np_mats(delta, a, ka, p)
-            cur = _contract_mod(cur, a + 1, mat.T if a == 0 else mat, p)
-        out = (out + _residue(c, p) * cur.reshape(k, -1)) % p
-    return out
-
-
 # bytes (8 * N**2 on an N-entry frame) above which p(δ) is not built
 _POLY_MATRIX_BUDGET = 1 << 30
 
@@ -387,7 +332,8 @@ def ten_closure(P, Delta, frame):
     denominator of Δ or P and linalg._multimodular_rref lifts the result.
     The lift is certified once every lifted tensor satisfies every
     constraint exactly: it spans a subspace of Ten over QQ, of dimension
-    dim Ten mod p >= dim Ten over QQ, so it spans Ten.
+    dim Ten mod p >= dim Ten over QQ, so it spans Ten.  The check runs on
+    integers, with no modulus (npaction.integral_constraint).
     """
     field = frame.field
     for delta in Delta:
@@ -410,11 +356,13 @@ def ten_closure(P, Delta, frame):
             return None
         return np_rref(_closure_modp(constraints, frame.dims, p), p)
 
+    integral = [integral_constraint(delta, poly) for delta, poly in constraints]
+
     def certify(rows, pivots):
-        return all(
-            apply_polynomial(delta, poly, Tensor(frame, row)).is_zero()
-            for delta, poly in constraints
-            for row in rows
+        B = np.array([_integer_scaled(row) for row in rows], dtype=object)
+        B = B.reshape(len(rows), frame.size)
+        return not any(
+            _np_apply_poly(delta, poly, B, frame.dims, None).any() for delta, poly in integral
         )
 
     rows, _ = _multimodular_rref(frame.size, reduce, certify, sign=1)

@@ -11,7 +11,7 @@ from ttow import (
     TransverseOperator,
     apply_polynomial,
 )
-from ttow.annihilator import ann_operator, ann_set, min_poly_axis
+from ttow.annihilator import ann_operator, ann_set, joint_annihilator, min_poly_axis
 from ttow.cli import named_fixture
 from ttow.operators import random_operator
 from ttow.polys import poly_from_string
@@ -110,3 +110,21 @@ def test_degree_bounds_cap_the_box():
     I_full = ann_operator(data["tensor"], data["operator"])
     I_capped = ann_operator(data["tensor"], data["operator"], bounds=[2, 3])
     assert I_capped.gb == I_full.gb
+
+
+def test_joint_annihilator_of_one_pair_is_ann_operator():
+    # a constant axis (variance 0) carries no variable in either
+    rng = random.Random(11)
+    frame = Frame((2, 2, 2), F101)
+    t = Tensor(frame, [F101.random(rng) for _ in range(frame.size)])
+    for variance in [(1, 0, -1)] * 4 + [(0, 1, 1), (1, -1, 0), (0, 0, 1)]:
+        omega = random_operator(frame, variance, rng)
+        I = joint_annihilator([t], [omega])
+        assert I == ann_operator(t, omega)
+        constant = [a for a, s in enumerate(variance) if s == 0]
+        assert all(e[a] == 0 for g in I.gb for e in g.terms for a in constant)
+    for field in (QQ, F101):
+        for name in ("fig1a", "fig1b", "ghz-swap", "w-swap"):
+            data = named_fixture(name, field)
+            t, omega = data["tensor"], data["operator"]
+            assert joint_annihilator([t], [omega]) == ann_operator(t, omega)

@@ -1,5 +1,6 @@
 """In-process command-line tests: JSON payloads, exit codes, determinism."""
 
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -302,3 +303,73 @@ def test_bad_input_is_a_structured_exit_2(capsys, tmp_path, argv, files, needle)
     assert out is None
     assert err["error"]["type"] == "ValidationError"
     assert needle in err["error"]["message"]
+
+
+# sha256 of the stdout of each command, recorded before the batched action
+# kernel replaced the per-tensor one; SUB is the subframe of the fixture
+# (SUBFRAMES), written to a file.  A change to the action, the cokernel or
+# Buchberger that moves an output byte fails here.
+SUBFRAMES = {
+    "cplx": [[[1, 0]]] * 3,
+    "matmul-2": [[[1, 0, 0, 0], [0, 1, 0, 0]]] * 3,
+    "upper-triangular": [[[0, 1, 0]]] * 3,
+}
+GOLDEN = [
+    ("ann --fixture fig1a",
+     "5ba7878f47272eb9c1ba733f2bd488c9f88799dda7992a325441561791eb6df5"),
+    ("ann --fixture fig1a --field prime:101",
+     "657b773a248d1d8eebc6802a4dfb4b6796b9855b0158b7e4eb8f0643197b63e3"),
+    ("ann --fixture fig1b",
+     "50d70906c2ae2c47205e3d512e9f9a0c6a96f0b2927fb1cee03a80cf9dfa126c"),
+    ("ann --fixture fig1b --field prime:101",
+     "b6670e006067a995fe1f16b5643f73ed4aa7f321125e4d478102dbc0d94f9428"),
+    ("ann --fixture ghz-swap",
+     "2569f403aabeca5aec4ef0e5438d417af1dffc8bd8dcbd65bd79edcf81ee6d7a"),
+    ("ann --fixture ghz-swap --field prime:101",
+     "85a34e21f25f97351574a828698a42293378c4b7fff1481ddac3e63bb672eaab"),
+    ("ann --fixture w-swap",
+     "aba0dbff8b4a446ed3f2254b256e81612bd253d773c7c583e1f10d670d9741fe"),
+    ("ann --fixture w-swap --field prime:101",
+     "4aaa167f77743abd5c6b99f15a2e7e7fe09cc6bcc7b810e092ce2a73b31eef19"),
+    ("probe --fixture fig1a",
+     "36589c0bf365516d63173a97c0a101f0c0dc7b88fa152257304515ea9675323d"),
+    ("probe --fixture fig1a --field prime:101",
+     "36589c0bf365516d63173a97c0a101f0c0dc7b88fa152257304515ea9675323d"),
+    ("probe --fixture fig1b",
+     "acfde37c1b2b09bd22c9370dfc3e4a2e170b92cb101b44cedf6811694ee60a62"),
+    ("probe --fixture fig1b --field prime:101",
+     "acfde37c1b2b09bd22c9370dfc3e4a2e170b92cb101b44cedf6811694ee60a62"),
+    ("probe --fixture ghz-swap",
+     "5c94e9879e9b69afe472d75888cc5283b2c6a20ce05d7f6ddc0498e69e72ac60"),
+    ("probe --fixture ghz-swap --field prime:101",
+     "5c94e9879e9b69afe472d75888cc5283b2c6a20ce05d7f6ddc0498e69e72ac60"),
+    ("probe --fixture w-swap",
+     "5c94e9879e9b69afe472d75888cc5283b2c6a20ce05d7f6ddc0498e69e72ac60"),
+    ("probe --fixture w-swap --field prime:101",
+     "5c94e9879e9b69afe472d75888cc5283b2c6a20ce05d7f6ddc0498e69e72ac60"),
+    ("verify-singularity --fixture cplx --subframe SUB --samples 4 --seed 3",
+     "4437d3acd1d20fad32753e988d677a38040bcac38fb374f78b1b8cc76b7196ff"),
+    ("verify-singularity --fixture cplx --subframe SUB --samples 4 --seed 3 --field prime:101",
+     "1c3ce7d38e902d852f90f6f0fb35c952d0f049afd424a138a8ef285fac5bd1c8"),
+    ("verify-singularity --fixture matmul-2 --subframe SUB --samples 4 --seed 3",
+     "bec2b09e0dfb3a9f31b86fa5ca73d51c4f73b8d407c2380770d36d7ee405faad"),
+    ("verify-singularity --fixture matmul-2 --subframe SUB --samples 4 --seed 3 --field prime:101",
+     "e7bfc097e2a0c918b4b3add9bbee601a15f8529388fa79e54de15c1f6a439147"),
+    ("verify-singularity --fixture upper-triangular --subframe SUB --samples 4 --seed 3",
+     "271b374b57b726249e67b8869c52d7dab730e2ddf96963ce39440ef483d35ed7"),
+    ("verify-singularity --fixture upper-triangular --subframe SUB --samples 4 --seed 3 --field prime:101",
+     "91cff134b401a98b8da81a3a17e533ce73f52b2aebaa6fd39969e5329c75b998"),
+]
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+def test_golden_stdout(capsys, tmp_path, command, digest):
+    argv = command.split()
+    if "SUB" in argv:
+        sub = tmp_path / "U.json"
+        bases = SUBFRAMES[argv[argv.index("--fixture") + 1]]
+        sub.write_text(json.dumps({"axes": [{"axis": a, "basis": rows} for a, rows in enumerate(bases)]}))
+        argv[argv.index("SUB")] = str(sub)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

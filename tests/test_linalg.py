@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttow import QQ, PrimeField
-from ttow.galois import _matmul_mod
 from ttow.linalg import (
     _dtype,
     _prime,
@@ -24,6 +23,7 @@ from ttow.linalg import (
     row_basis,
     spans_equal,
 )
+from ttow.npaction import _matmul_mod
 
 F101 = PrimeField(101)
 # residues mod these primes are held as Python ints in object arrays
