@@ -30,10 +30,45 @@ def _unscaled(vec, rowscale):
     return [x * s / rowscale[free] if x else x for x, s in zip(vec, rowscale)]
 
 
-def _annihilator(tensors, operators, bounds, order):
-    """One cokernel over the exponent box, with the action rows of every
-    (t, ω) pair side by side.  An axis that some operator holds constant
-    gets bound 0: the polynomial action never moves it."""
+def ann_operator(t, omega, bounds=None, order=GREVLEX):
+    """The annihilator ideal of (t, ω), complete by Cayley-Hamilton within
+    the per-axis exponent box {0..d_a}: the one-pair joint annihilator."""
+    if bounds is not None:
+        for a, (b, d) in enumerate(zip(bounds, t.frame.dims)):
+            if b > d:
+                warnings.warn(
+                    f"axis {a} bound {b} capped to {d}: larger is redundant"
+                )
+    return joint_annihilator([t], [omega], bounds, order)
+
+
+def ann_set(tensors, operators, bounds=None, order=GREVLEX):
+    """Id(S, Δ) as the intersection of the pairwise annihilators."""
+    result = None
+    for t in tensors:
+        for omega in operators:
+            ideal = ann_operator(t, omega, bounds, order)
+            result = ideal if result is None else intersect(result, ideal)
+            if result.is_zero_ideal():
+                return result
+    if result is None:
+        raise FrameMismatch("empty tensor or operator set")
+    return result
+
+
+def joint_annihilator(tensors, operators, bounds=None, order=GREVLEX):
+    """The ideal generated by the degree-bounded traits common to every
+    (t, ω) pair: one cokernel over the exponent box with the action rows
+    of all pairs stacked.
+
+    Unlike ``ann_set`` this never picks up incidental high-degree members
+    of the pairwise intersection (such as products of per-operator minimal
+    polynomials), so for a sampled operator family it converges onto the
+    ideal of traits shared by the whole family.  An axis that some operator
+    holds constant (variance 0) carries no variable: its bound is 0.
+    """
+    if not tensors or not operators:
+        raise FrameMismatch("empty tensor or operator set")
     frame = tensors[0].frame
     for t in tensors:
         for omega in operators:
@@ -63,49 +98,6 @@ def _annihilator(tensors, operators, bounds, order):
         coker = np_nullspace(rows.T, p).tolist()
     gens = [MultiPoly(field, nvars, dict(zip(exps, vec))) for vec in coker]
     return Ideal.zero(field, nvars, order) if not gens else Ideal(gens, order)
-
-
-def ann_operator(t, omega, bounds=None, order=GREVLEX):
-    """The annihilator ideal of (t, ω), complete by Cayley-Hamilton within
-    the per-axis exponent box {0..d_a}."""
-    if bounds is not None:
-        for a, (b, d) in enumerate(zip(bounds, t.frame.dims)):
-            if b > d:
-                warnings.warn(
-                    f"axis {a} bound {b} capped to {d}: larger is redundant"
-                )
-    return _annihilator([t], [omega], bounds, order)
-
-
-def ann_set(tensors, operators, bounds=None, order=GREVLEX):
-    """Id(S, Δ) as the intersection of the pairwise annihilators."""
-    result = None
-    for t in tensors:
-        for omega in operators:
-            ideal = ann_operator(t, omega, bounds, order)
-            result = ideal if result is None else intersect(result, ideal)
-            if result.is_zero_ideal():
-                return result
-    if result is None:
-        raise FrameMismatch("empty tensor or operator set")
-    return result
-
-
-def joint_annihilator(tensors, operators, bounds=None, order=GREVLEX):
-    """The ideal generated by the degree-bounded traits common to every
-    (t, ω) pair: one cokernel over the exponent box with the action rows
-    of all pairs stacked.
-
-    Unlike ``ann_set`` this never picks up incidental high-degree members
-    of the pairwise intersection (such as products of per-operator minimal
-    polynomials), so for a sampled operator family it converges onto the
-    ideal of traits shared by the whole family.  An axis that some operator
-    holds constant (variance 0) carries no variable: its bound is 0, as in
-    ``ann_operator``.
-    """
-    if not tensors or not operators:
-        raise FrameMismatch("empty tensor or operator set")
-    return _annihilator(tensors, operators, bounds, order)
 
 
 def min_poly_axis(t, omega, a, order=GREVLEX):
