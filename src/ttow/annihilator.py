@@ -14,12 +14,11 @@ import warnings
 
 import numpy as np
 
-from .errors import FrameMismatch
+from .errors import DimensionMismatch, FrameMismatch
 from .fields import QQ
 from .groebner import Ideal, box_exponents, intersect
-from .linalg import np_nullspace, nullspace, reduce_against, rref
+from .linalg import np_nullspace, nullspace
 from .npaction import box_action, operator_stacks, tensor_array
-from .operators import apply_monomial
 from .polys import GREVLEX, MultiPoly
 
 
@@ -101,52 +100,12 @@ def joint_annihilator(tensors, operators, bounds=None, order=GREVLEX):
 
 
 def min_poly_axis(t, omega, a, order=GREVLEX):
-    """Monic generator of Id(t,ω) ∩ K[x_a]: the least-degree relation among
-    the successive axis-a power actions."""
-    if t.frame != omega.frame:
-        raise FrameMismatch("tensor and operator frames differ")
-    field = t.frame.field
-    nvars = len(t.frame.dims)
-    d = t.frame.dims[a]
-    unit = [0] * nvars
-    unit[a] = 1
-    powers = [t]
-    for _ in range(d):
-        powers.append(apply_monomial(omega, unit, powers[-1]))
-    rows = []
-    pivots = []
-    basis = []
-    for k, pk in enumerate(powers):
-        red = reduce_against(pk.coeffs, basis, pivots, field)
-        if all(field.is_zero(x) for x in red):
-            # solve x_a^k = sum c_i x_a^i over the recorded powers
-            coeffs = _solve_combo(rows, pk.coeffs, field)
-            terms = {}
-            e = [0] * nvars
-            e[a] = k
-            terms[tuple(e)] = field.one
-            for i, c in enumerate(coeffs):
-                if field.is_zero(c):
-                    continue
-                e = [0] * nvars
-                e[a] = i
-                terms[tuple(e)] = field.neg(c)
-            return MultiPoly(field, nvars, terms)
-        rows.append(pk.coeffs)
-        newb, newp = rref(rows, field)
-        basis, pivots = newb, newp
-    raise AssertionError("Cayley-Hamilton guarantees a relation within the box")
-
-
-def _solve_combo(rows, target, field):
-    """Coefficients expressing target as a combination of the given rows."""
-    if not rows:
-        return []
-    n = len(target)
-    aug = [list(r) + [field.zero] * len(rows) for r in rows]
-    for i in range(len(rows)):
-        aug[i][n + i] = field.one
-    R, pivots = rref(aug, field)
-    vec = list(target) + [field.zero] * len(rows)
-    red = reduce_against(vec, R, pivots, field)
-    return [field.neg(red[n + i]) for i in range(len(rows))]
+    """Monic generator of Id(t,ω) ∩ K[x_a]: the reduced Gröbner basis of the
+    joint annihilator over the box of degree d_a in x_a alone, which holds
+    a relation by Cayley-Hamilton."""
+    if omega.variance[a] == 0:
+        raise DimensionMismatch(f"nonzero exponent on constant axis {a}")
+    bounds = [0] * len(t.frame.dims)
+    bounds[a] = t.frame.dims[a]
+    (gen,) = joint_annihilator([t], [omega], bounds, order).gb
+    return gen

@@ -5,6 +5,7 @@ error.  Errors are emitted as structured JSON on standard error.
 """
 
 import argparse
+import functools
 import sys
 
 from .annihilator import ann_operator
@@ -68,8 +69,17 @@ def _parse_bounds(text):
         raise ValidationError(f"--degree-bound {text}: expected integers") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad or missing flags are validation errors, reported as JSON like
+    every other (subparsers inherit the class)."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
+@functools.cache
 def _build_parser():
-    ap = argparse.ArgumentParser(prog="ttow")
+    ap = _Parser(prog="ttow")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, fixture=True):

@@ -6,9 +6,15 @@ field: Op(S,P) for linear homogeneous P is a stacked Sylvester-type system
 in the operator entries; Ten(P,Δ) is the joint kernel of the maps
 s ↦ p(δ)·s, linear in s for any P, computed mod p, and over QQ mod
 word-size primes, lifted and certified.
+
+A named algebra is checked for closure under its product law on numpy
+too: the k² products of a basis come from one batched matmul per axis,
+and every one of them is tested against the span's RREF in one exact
+membership test (linalg._certified), mod p or on integers over QQ.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,6 +29,7 @@ from .errors import (
     ZeroTorusEntry,
 )
 from .linalg import (
+    _certified,
     _dtype,
     _integer_scaled,
     _multimodular_rref,
@@ -41,6 +48,8 @@ from .npaction import (
     _np_mats,
     _residue,
     integral_constraint,
+    operator_stacks,
+    random_span_members,
 )
 from .operators import (
     TransverseOperator,
@@ -55,7 +64,7 @@ from .polys import (
     centroid_polys,
     derivation_poly,
 )
-from .tensors import Frame, Tensor, TensorSpace
+from .tensors import Tensor, TensorSpace
 
 
 class OperatorSpace:
@@ -111,29 +120,6 @@ class ProductLaw:
         return cls(pairs, variance)
 
 
-def bullet_product(omega, tau, law):
-    """The law-product of two operators, axiswise on active axes."""
-    if omega.frame != tau.frame or omega.variance != tau.variance:
-        raise FrameMismatch("operators live in different spaces")
-    f = omega.frame.field
-    mats = []
-    for a, s in enumerate(omega.variance):
-        if s == 0:
-            mats.append(None)
-            continue
-        lam, rho = law.pairs[a]
-        d = omega.frame.dims[a]
-        acc = [[f.zero] * d for _ in range(d)]
-        if not f.is_zero(lam):
-            ot = mat_mul(omega.mats[a], tau.mats[a], f)
-            acc = [[f.add(x, f.mul(lam, y)) for x, y in zip(r1, r2)] for r1, r2 in zip(acc, ot)]
-        if not f.is_zero(rho):
-            to = mat_mul(tau.mats[a], omega.mats[a], f)
-            acc = [[f.add(x, f.mul(rho, y)) for x, y in zip(r1, r2)] for r1, r2 in zip(acc, to)]
-        mats.append(acc)
-    return TransverseOperator(omega.frame, mats, omega.variance)
-
-
 def _check_poly_axes(p, variance):
     for e in p.terms:
         for a, k in enumerate(e):
@@ -151,39 +137,26 @@ def _op_unknown_layout(frame, variance):
     return axes, offsets, pos
 
 
-def _sylvester_rows_np(t, lams, axes, offsets, nunk):
+def _sylvester_rows_np(t, lams, axes):
     """Constraint block for one (tensor, integer-scaled linear poly) pair:
-    mod p, or over QQ on t scaled to integers (the trait is linear in t)."""
+    mod p, or over QQ on t scaled to integers (the trait is linear in t).
+    Entry (y, (i, j)) of the axis-a block is lam_a t[y with y_a -> i] when
+    y_a = j, for the unknown ω_a[i][j]: the outer product of lam_a t with
+    the identity, axis a moved next to its column.  Axis 0 acts from the
+    left, so there the unknown is ω_0[j][i]."""
     frame = t.frame
     p = frame.field.characteristic
     dims = frame.dims
     dtype = _dtype(p) if p else object
     T = np.array(_integer_scaled(t.coeffs), dtype=dtype).reshape(dims)
-    N = frame.size
-    M = np.zeros((N, nunk), dtype=dtype)
+    blocks = []
     for a in axes:
-        lam = lams[a]
-        if lam == 0:
-            continue
         d = dims[a]
-        base = offsets[a]
-        for i in range(d):
-            if a == 0:
-                # unknown (k, m) with m = i: contributes lam * t[i, rest]
-                # to output coordinate (k, rest)
-                slab = lam * T[i].reshape(-1)
-                for k in range(d):
-                    out = np.zeros(dims, dtype=dtype)
-                    out[k] = slab.reshape(dims[1:])
-                    M[:, base + k * d + i] += out.reshape(-1)
-            else:
-                slab = lam * np.take(T, i, axis=a)
-                for j in range(d):
-                    out = np.zeros(dims, dtype=dtype)
-                    idx = [slice(None)] * len(dims)
-                    idx[a] = j
-                    out[tuple(idx)] = slab
-                    M[:, base + i * d + j] += out.reshape(-1)
+        block = np.swapaxes(np.multiply.outer(lams[a] * T, np.eye(d, dtype=dtype)), a, -2)
+        if a == 0:
+            block = np.swapaxes(block, -2, -1)
+        blocks.append(block.reshape(frame.size, d * d))
+    M = np.hstack(blocks)
     return M % p if p else M
 
 
@@ -200,7 +173,7 @@ def op_space_linear(S, P, variance=None):
         variance = all_covariant(frame.valence)
     variance = tuple(variance)
     field = frame.field
-    axes, offsets, nunk = _op_unknown_layout(frame, variance)
+    axes, _, nunk = _op_unknown_layout(frame, variance)
     lam_rows = []
     for p in P:
         if not p.is_linear_homogeneous():
@@ -212,7 +185,7 @@ def op_space_linear(S, P, variance=None):
         vecs = identity_matrix(nunk, field)
     else:
         big = np.vstack([
-            _sylvester_rows_np(t, lams, axes, offsets, nunk)
+            _sylvester_rows_np(t, lams, axes)
             for t in S
             for lams in lam_rows
         ])
@@ -277,14 +250,46 @@ def named_algebra(S, kind, axes=None, verify=True):
 
 
 def check_product_closure(space, law):
-    """True iff every pairwise law-product of basis members stays in the
-    span; otherwise (False, offending pair)."""
-    for omega in space.basis:
-        for tau in space.basis:
-            prod = bullet_product(omega, tau, law)
-            if not space.contains(prod):
-                return False, (omega, tau)
-    return True, None
+    """(True, None) iff every pairwise law-product of basis members stays in
+    the span; otherwise (False, (ω, τ)) for the first offending pair in
+    row-major order.
+
+    All k² products are formed at once: per active axis a, one batched
+    matmul of the (k, d_a, d_a) stack gives every ω_a τ_a, combined with
+    (λ_a, ρ_a).  Over QQ axis a of the stack carries D_a (operator_stacks),
+    so each block is scaled to the common integer multiple M of the true
+    products, M the lcm of D_a² and the law's denominators.  The k² rows
+    are tested against the span's own RREF in one exact membership test
+    (linalg._certified), mod p or on integers.
+    """
+    ops = space.basis
+    if not ops:
+        return True, None
+    p = space.frame.field.characteristic or None
+    stacks, scales = operator_stacks(ops, p)
+    axes = active_axes(space.variance)
+    M = 1
+    if p is None:
+        M = math.lcm(*(
+            scales[a] ** 2 * math.lcm(*(Fraction(c).denominator for c in law.pairs[a]))
+            for a in axes
+        ))
+    k = len(ops)
+    blocks = []
+    for a in axes:
+        S = stacks[a]
+        prods = np.matmul(S[:, None], S[None, :])  # [i, j] = ω_i ω_j on axis a
+        if p is not None:
+            prods %= p
+        lam, rho = (_residue(Fraction(M, scales[a] ** 2) * c, p) for c in law.pairs[a])
+        block = lam * prods + rho * prods.swapaxes(0, 1)
+        blocks.append(block.reshape(k * k, -1))
+    A = np.hstack(blocks)
+    closed = _certified(A, space._rows, space._pivots, p)
+    if closed.all():
+        return True, None
+    i, j = divmod(int(np.argmin(closed)), k)
+    return False, (ops[i], ops[j])
 
 
 # bytes (8 * N**2 on an N-entry frame) above which p(δ) is not built
@@ -475,23 +480,14 @@ def _symbolic_contract(cur, frame, a, offset, nunk, field):
 def generic_points(space, count=None, seed=0):
     """Seeded random span members of an operator space; each re-verifies
     against the provenance constraints by construction of the span."""
-    import random
-
     frame = space.frame
-    field = frame.field
     if count is None:
         count = 2 + frame.valence
-    rng = random.Random(seed)
-    nunk = _op_unknown_layout(frame, space.variance)[2]
-    points = []
-    for _ in range(count):
-        vec = [field.zero] * nunk
-        for b in space.basis:
-            c = field.random(rng)
-            fb = op_flat(b)
-            vec = [field.add(x, field.mul(c, y)) for x, y in zip(vec, fb)]
-        points.append(op_from_flat(frame, space.variance, vec))
-    return points
+    if not space.basis:
+        nunk = _op_unknown_layout(frame, space.variance)[2]
+        return [op_from_flat(frame, space.variance, [frame.field.zero] * nunk)
+                for _ in range(count)]
+    return random_span_members(space.basis, count, seed)
 
 
 def torus_transform(P, tau):

@@ -214,29 +214,35 @@ def _multimodular_rref(n, reduce, certify, sign):
             return rows, pivots
 
 
-def _certified(A, bits, rows, pivots):
-    """Whether every row a of the integer matrix A satisfies
-    a[free] == a[pivots] @ R[:, free] for the candidate RREF R (rows),
-    i.e. row(A) ⊆ row(R), checked as d * a[free] == a[pivots] @ numerators
-    with d the common denominator of each free column: in int64 while
-    2**(bits + max(numerator bits + rank bits, denominator bits)) < 2**62,
-    otherwise in Python ints."""
+def _certified(A, rows, pivots, p=None):
+    """Per row a of the integer matrix A, whether a lies in the row space of
+    the RREF R (rows, pivots): a[free] == a[pivots] @ R[:, free], mod p, or
+    with p None over QQ as d * a[free] == a[pivots] @ numerators, with d the
+    common denominator of each free column.  In int64 while the products
+    and their sums stay below 2**62, otherwise in Python ints."""
     pivset = set(pivots)
     free = [c for c in range(A.shape[1]) if c not in pivset]
     if not free:
-        return True  # rank n forces R = I
+        return np.ones(len(A), dtype=bool)  # rank n forces R = I
+    if p is not None:
+        dtype = _dtype(p, len(pivots))
+        A = (A % p).astype(dtype)
+        N = np.array([[row[c] for c in free] for row in rows], dtype=dtype)
+        N = N.reshape(len(rows), len(free))
+        return ((A[:, pivots] @ N - A[:, free]) % p == 0).all(axis=1)
     dens = [math.lcm(*(row[c].denominator for row in rows)) for c in free]
     nums = [[row[c].numerator * (d // row[c].denominator) for c, d in zip(free, dens)]
             for row in rows]
-    nbits = max(abs(a).bit_length() for row in nums for a in row)
+    bits = int(np.abs(A).max(initial=0)).bit_length()
+    nbits = max((abs(a).bit_length() for row in nums for a in row), default=0)
     dbits = max(dens).bit_length()
     dtype = object
     if bits + max(nbits + len(pivots).bit_length(), dbits) < 62:
         dtype = np.int64
     A = A.astype(dtype, copy=False)
-    N = np.array(nums, dtype=dtype)
+    N = np.array(nums, dtype=dtype).reshape(len(rows), len(free))
     D = np.array(dens, dtype=dtype)
-    return np.array_equal(A[:, free] * D, A[:, pivots] @ N)
+    return (A[:, free] * D == A[:, pivots] @ N).all(axis=1)
 
 
 def _rref_rational(rows):
@@ -253,7 +259,7 @@ def _rref_rational(rows):
     return _multimodular_rref(
         A.shape[1],
         lambda p: np_rref(A % p, p),
-        lambda R, pivots: _certified(A, bits, R, pivots),
+        lambda R, pivots: _certified(A, R, pivots).all(),
         sign=-1,
     )
 

@@ -12,6 +12,8 @@ on the coefficients they read off.
 """
 
 import math
+import random
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -124,6 +126,30 @@ def operator_stacks(ops, p):
         for a in range(naxes)
     ]
     return stacks, [1] * naxes
+
+
+def random_span_members(ops, count, seed):
+    """Seeded random linear combinations of a spanning set (one variance):
+    a (count, k) coefficient matrix, drawn sample by sample, times the
+    flattened per-axis stacks of the k operators."""
+    if not ops:
+        return []
+    frame = ops[0].frame
+    field = frame.field
+    rng = random.Random(seed)
+    p = field.characteristic or None
+    coeffs = [[_residue(field.random(rng), p) for _ in ops] for _ in range(count)]
+    C = np.array(coeffs, dtype=object if p is None else _dtype(p)).reshape(count, len(ops))
+    stacks, scales = operator_stacks(ops, p)
+    per_axis = []
+    for S, D, d in zip(stacks, scales, frame.dims):
+        flat = S.reshape(len(ops), d * d)
+        if p is None:
+            prod = [[Fraction(x, D) for x in row] for row in (C @ flat).tolist()]
+        else:
+            prod = _matmul_mod(C, flat, p).tolist()
+        per_axis.append([[row[i * d : (i + 1) * d] for i in range(d)] for row in prod])
+    return [TransverseOperator(frame, list(mats), ops[0].variance) for mats in zip(*per_axis)]
 
 
 def tensor_array(t, p, dtype):

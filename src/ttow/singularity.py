@@ -3,18 +3,13 @@ the restricted-operator space Ω(U,V), and an executable check that the
 annihilator of Ω(U,V) on t equals the Stanley-Reisner ideal of ∇(t;U).
 """
 
-import random
-from fractions import Fraction
 from itertools import combinations, product
-
-import numpy as np
 
 from .annihilator import ann_operator, joint_annihilator
 from .complexes import SimplicialComplex, complex_of, stanley_reisner
 from .errors import FrameMismatch, InvalidSubframe, UnsupportedParams
 from .groebner import Ideal, contains_monomial
 from .linalg import (
-    _dtype,
     identity_matrix,
     in_span,
     mat_inv,
@@ -24,7 +19,7 @@ from .linalg import (
     rank,
     rref,
 )
-from .npaction import _matmul_mod, _residue, operator_stacks
+from .npaction import random_span_members
 from .operators import TransverseOperator
 from .polys import GREVLEX, MultiPoly
 from .tensors import Tensor, evaluate
@@ -193,30 +188,6 @@ def scaled_projections(U):
     ]
     ops.append(TransverseOperator(frame, mats))
     return ops
-
-
-def random_span_members(ops, count, seed):
-    """Seeded random linear combinations of a spanning set: a (count, k)
-    coefficient matrix, drawn sample by sample, times the flattened
-    per-axis stacks of the k operators."""
-    if not ops:
-        return []
-    frame = ops[0].frame
-    field = frame.field
-    rng = random.Random(seed)
-    p = field.characteristic or None
-    coeffs = [[_residue(field.random(rng), p) for _ in ops] for _ in range(count)]
-    C = np.array(coeffs, dtype=object if p is None else _dtype(p)).reshape(count, len(ops))
-    stacks, scales = operator_stacks(ops, p)
-    per_axis = []
-    for S, D, d in zip(stacks, scales, frame.dims):
-        flat = S.reshape(len(ops), d * d)
-        if p is None:
-            prod = [[Fraction(x, D) for x in row] for row in (C @ flat).tolist()]
-        else:
-            prod = _matmul_mod(C, flat, p).tolist()
-        per_axis.append([[row[i * d : (i + 1) * d] for i in range(d)] for row in prod])
-    return [TransverseOperator(frame, list(mats)) for mats in zip(*per_axis)]
 
 
 def verify_singularity_theorem(t, U, degree_bound=None, sample_count=40, seed=0, order=GREVLEX):

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from ttow import (
     GREVLEX,
     QQ,
@@ -13,6 +15,7 @@ from ttow import (
 )
 from ttow.annihilator import ann_operator, ann_set, joint_annihilator, min_poly_axis
 from ttow.cli import named_fixture
+from ttow.errors import DimensionMismatch
 from ttow.operators import random_operator
 from ttow.polys import poly_from_string
 
@@ -103,6 +106,18 @@ def test_min_poly_axis_is_monic_annihilator():
         lead_e, lead_c = p.lead(GREVLEX)
         assert lead_c == F101.one
         assert sum(lead_e) == lead_e[a]  # univariate in x_a
+
+
+def test_min_poly_axis_constant_axis_and_zero_tensor():
+    rng = random.Random(3)
+    for field in (QQ, F101):
+        frame = Frame((2, 3, 2), field)
+        omega = random_operator(frame, (1, 0, -1), rng)
+        zero = Tensor(frame, [field.zero] * frame.size)
+        with pytest.raises(DimensionMismatch):
+            min_poly_axis(zero, omega, 1)
+        for a in (0, 2):
+            assert min_poly_axis(zero, omega, a) == P("1", 3, field)
 
 
 def test_degree_bounds_cap_the_box():

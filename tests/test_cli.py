@@ -50,9 +50,11 @@ def test_centroid_dimension_and_unital_flag(capsys):
 
 
 def test_nucleus_requires_axes(capsys):
-    with pytest.raises(SystemExit):
-        main(["nucleus", "--fixture", "matmul-2"])
-    capsys.readouterr()
+    code, out, err = run(capsys, "nucleus", "--fixture", "matmul-2")
+    assert code == 2
+    assert out is None
+    assert err["error"]["type"] == "ValidationError"
+    assert "--axes" in err["error"]["message"]
     code, out, _ = run(capsys, "nucleus", "--fixture", "matmul-2", "--axes", "1", "2")
     assert code == 0
     assert out["dimension"] == 4
@@ -157,6 +159,15 @@ def test_readme_cli_lines_parse():
         assert parser.parse_args(argv).command == argv[0], line
 
 
+def test_parser_is_built_once_and_append_defaults_stay_empty(capsys):
+    assert _build_parser() is _build_parser()
+    for _ in range(2):
+        code, out, _ = run(capsys, "gb", "--poly", "x0^2 - x1", "--nvars", "2")
+        assert code == 0
+        assert out["ideal"]["strings"] == ["x0^2 - x1"]
+    assert _build_parser().parse_args(["gb"]).poly == []
+
+
 def test_validation_errors_exit_2(capsys):
     code, _, err = run(capsys, "ann", "--fixture", "no-such-fixture")
     assert code == 2
@@ -197,6 +208,10 @@ _SWAP = [[0, 1], [1, 0]]
 # Each bad input: argv (with {dir} for a scratch directory), the files to
 # write there first, and a text the error message must contain.
 BAD_INPUTS = [
+    ("unknown flag", ["der", "--fixture", "ghz", "--bogus"], {}, "--bogus"),
+    ("flag without its value", ["ann", "--fixture", "fig1a", "--seed"], {}, "--seed"),
+    ("flag value not an integer", ["ann", "--fixture", "fig1a", "--seed", "x"], {}, "--seed"),
+    ("unknown command", ["bogus"], {}, "bogus"),
     ("missing --in", ["der", "--in", "{dir}/none.json"], {}, "none.json"),
     ("unreadable --in", ["der", "--in", "{dir}"], {}, "cannot read"),
     (

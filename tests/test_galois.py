@@ -34,9 +34,9 @@ from ttow.fixtures import (
     w_state,
 )
 from ttow.galois import ProductLaw, torus_relation_holds, torus_scale_space
-from ttow.linalg import _prime, _rref_generic, mat_inv, mat_mul
-from ttow.operators import op_flat
-from ttow.polys import centroid_polys, derivation_poly, poly_from_string
+from ttow.linalg import _integer_scaled, _prime, _rref_generic, mat_inv, mat_mul
+from ttow.operators import op_flat, random_operator
+from ttow.polys import MultiPoly, centroid_polys, derivation_poly, poly_from_string
 
 F101 = PrimeField(101)
 
@@ -105,7 +105,98 @@ def test_sl2_derivations_not_associatively_closed():
     assert not ok and counter is not None
 
 
+def _closure_by_pairs(space, law):
+    """The closure check product by product: the reference for the batched one."""
+    f = space.frame.field
+    for omega in space.basis:
+        for tau in space.basis:
+            mats = [None] * len(space.variance)
+            for a, s in enumerate(space.variance):
+                if s == 0:
+                    continue
+                lam, rho = law.pairs[a]
+                ot = mat_mul(omega.mats[a], tau.mats[a], f)
+                to = mat_mul(tau.mats[a], omega.mats[a], f)
+                mats[a] = [
+                    [f.add(f.mul(lam, x), f.mul(rho, y)) for x, y in zip(r1, r2)]
+                    for r1, r2 in zip(ot, to)
+                ]
+            if not space.contains(TransverseOperator(space.frame, mats, space.variance)):
+                return False, (omega, tau)
+    return True, None
+
+
+def _corrupted(space, rng):
+    """The space spanned by its basis with one active entry of one member
+    moved by 1."""
+    basis = [TransverseOperator(b.frame, [[list(r) for r in m] for m in b.mats], b.variance)
+             for b in space.basis]
+    b = rng.choice(basis)
+    a = rng.choice([a for a, s in enumerate(space.variance) if s])
+    d = space.frame.dims[a]
+    i, j = rng.randrange(d), rng.randrange(d)
+    f = space.frame.field
+    b.mats[a][i][j] = f.add(b.mats[a][i][j], f.one)
+    return galois.OperatorSpace(space.frame, space.variance, basis)
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, F101, PrimeField(_prime(0)), PrimeField(2**61 - 1)],
+    ids=["QQ", "F101", "p31", "p61"],
+)
+def test_batched_closure_check_matches_the_pairwise_one(field):
+    rng = random.Random(4)
+    cases = [
+        (named_algebra([sl_bracket(2, field)], "derivations", verify=False), "lie"),
+        (named_algebra([sl_bracket(2, field)], "derivations", verify=False), "assoc"),
+        (named_algebra([trunc_poly(3, field)], "derivations", verify=False), "lie"),
+        (named_algebra([trunc_poly(3, field)], "centroid", verify=False), "assoc"),
+        (named_algebra([matmul(2, field)], "nucleus", axes=(1, 2), verify=False), "assoc"),
+    ]
+    failures = 0
+    for space, kind in cases:
+        n = len(space.variance)
+        laws = [ProductLaw.lie(field, n) if kind == "lie"
+                else ProductLaw.associative(field, space.variance)]
+        if field is QQ:
+            laws.append(ProductLaw([(Fraction(1, 2), Fraction(-1, 2))] * n))
+        for law in laws:
+            for sp in [space] + [_corrupted(space, rng) for _ in range(3)]:
+                got = check_product_closure(sp, law)
+                assert got == _closure_by_pairs(sp, law)
+                failures += not got[0]
+    assert failures  # the corrupted bases exercise the offending-pair search
+
+
 # -- linear operator spaces --------------------------------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["QQ", "F101"])
+def test_sylvester_rows_apply_the_linear_trait(field):
+    # M @ op_flat(ω) is p(ω)·t for a linear homogeneous p on integer data
+    rng = random.Random(12)
+    for dims, variance, lams in [
+        ((2, 3), (1, 1), [1, -1]),
+        ((3, 2), (1, -1), [0, 2]),
+        ((2, 1, 3), (1, 0, 1), [3, 0, -1]),
+        ((2, 2, 3), (-1, 1, 1), [1, 1, 0]),
+        ((2, 2, 1, 2), (1, 1, 0, 1), [1, -1, 0, 1]),
+        ((2, 3, 2, 2), (0, 1, 1, -1), [0, 1, 2, -3]),
+    ]:
+        frame = Frame(dims, field)
+        t = Tensor(frame, [field.from_int(rng.randint(-5, 5)) for _ in range(frame.size)])
+        n = len(dims)
+        poly = MultiPoly(field, n, {
+            tuple(int(b == a) for b in range(n)): field.from_int(lam)
+            for a, lam in enumerate(lams) if lam
+        })
+        axes = [a for a, s in enumerate(variance) if s]
+        M = galois._sylvester_rows_np(t, _integer_scaled(poly.linear_coeffs()), axes)
+        for _ in range(3):
+            omega = random_operator(frame, variance, rng)
+            w = [int(x) for x in op_flat(omega)]
+            got = (M @ w) % field.p if field.characteristic else M @ w
+            assert list(got) == apply_polynomial(omega, poly, t).coeffs
 
 
 def test_op_space_scalar_solutions():
@@ -251,6 +342,17 @@ def test_generic_points_satisfy_the_constraints():
     assert len(pts) == 2 + 2  # 2 + valence
     for omega in pts:
         assert is_trait(derivation_poly(2), ghz(QQ), omega)
+
+
+def test_generic_points_keep_the_variance_and_zero_spaces():
+    space = named_algebra([matmul(2, F101)], "nucleus", axes=(1, 2))
+    for omega in generic_points(space, seed=1):
+        assert omega.variance == space.variance
+        assert space.contains(omega)
+    frame = Frame((2, 3), QQ)
+    empty = galois.OperatorSpace(frame, (1, 0), [])
+    zero = TransverseOperator(frame, [[[QQ.zero] * 2] * 2, None], (1, 0))
+    assert generic_points(empty, count=3, seed=5) == [zero] * 3
 
 
 def test_generic_points_deterministic():

@@ -171,7 +171,8 @@ def test_derivations_lie_closed_on_all_fixtures():
         t = named_fixture(name, QQ)["tensor"]
         space = named_algebra([t], "derivations")
         law = ProductLaw.lie(QQ, len(t.frame.dims))
-        assert check_product_closure(space, law)
+        ok, pair = check_product_closure(space, law)
+        assert ok, (name, pair)
 
 
 def test_centroid_and_nuclei_associative_and_unital():
@@ -185,7 +186,8 @@ def test_centroid_and_nuclei_associative_and_unital():
         t = named_fixture(name, QQ)["tensor"]
         space = named_algebra([t], kind, axes=axes)
         law = ProductLaw.associative(QQ, space.variance)
-        assert check_product_closure(space, law)
+        ok, pair = check_product_closure(space, law)
+        assert ok, (name, pair)
         ident = TransverseOperator(
             t.frame,
             [
