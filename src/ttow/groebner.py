@@ -1,5 +1,6 @@
-"""Buchberger Groebner bases, ideals, intersection, saturation, monomial
-detection, and monomial-ideal primary decomposition.
+"""Buchberger Groebner bases and ideals; intersection and saturation by the
+product of all variables, each one elimination under a block order; monomial
+detection and monomial-ideal primary decomposition.
 """
 
 from itertools import combinations, product
@@ -197,13 +198,17 @@ def _embed(p, field, nvars, aux_exp):
     )
 
 
-def _eliminate_aux(gb_aux, field, nvars, order):
-    out = []
-    for g in gb_aux:
-        if all(e[0] == 0 for e in g.terms):
-            out.append(MultiPoly(field, nvars, {e[1:]: c for e, c in g.terms.items()}))
-    # GB property under the block order restricts; interreduce for safety
-    return buchberger(out, order) if out else []
+def _eliminate_aux(gens, field, nvars, order):
+    """(gens) ∩ k[x] for gens in k[t, x]: under the block order with t first
+    and x compared by `order`, the t-free members of the reduced basis are the
+    reduced basis of the elimination ideal (elimination theorem)."""
+    gb_aux = buchberger(gens, Block({0}, order))
+    gb = [
+        MultiPoly(field, nvars, {e[1:]: c for e, c in g.terms.items()})
+        for g in gb_aux
+        if all(e[0] == 0 for e in g.terms)
+    ]
+    return Ideal.from_gb(field, nvars, gb, order)
 
 
 def intersect(I, J):
@@ -219,34 +224,20 @@ def intersect(I, J):
     for h in J.gb:
         th = _embed(h, field, n, 1)
         gens.append(_embed(h, field, n, 0).sub(th))
-    gb_aux = buchberger(gens, Block({0}))
-    return Ideal.from_gb(field, n, _eliminate_aux(gb_aux, field, n, I.order), I.order)
+    return _eliminate_aux(gens, field, n, I.order)
 
 
-def saturate(I, variables=None):
-    """(I : x_{a1}^inf : x_{a2}^inf : ...) for the listed variables
-    (default: all), one elimination per variable."""
+def saturate(I):
+    """I : (x_0 x_1 ... x_v)^inf, which equals saturating by each variable
+    in turn: eliminate t from I + (t*x_0*...*x_v - 1)."""
     if I.is_zero_ideal():
         return I
     field, n = I.field, I.nvars
-    if variables is None:
-        variables = range(n)
-    cur = I
-    for a in variables:
-        gens = [_embed(g, field, n, 0) for g in cur.gb]
-        e = [0] * (n + 1)
-        e[0] = 1
-        e[a + 1] = 1
-        gens.append(
-            MultiPoly(
-                field,
-                n + 1,
-                {tuple(e): field.one, (0,) * (n + 1): field.neg(field.one)},
-            )
-        )
-        gb_aux = buchberger(gens, Block({0}))
-        cur = Ideal.from_gb(field, n, _eliminate_aux(gb_aux, field, n, I.order), I.order)
-    return cur
+    gens = [_embed(g, field, n, 0) for g in I.gb]
+    gens.append(
+        MultiPoly(field, n + 1, {(1,) * (n + 1): field.one, (0,) * (n + 1): field.neg(field.one)})
+    )
+    return _eliminate_aux(gens, field, n, I.order)
 
 
 def _monomials_of_degree(nvars, total):

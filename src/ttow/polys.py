@@ -39,17 +39,18 @@ class Lex(MonomialOrder):
 
 class Block(MonomialOrder):
     """Eliminates the variables in elim (compared grevlex first), then
-    grevlex on the remaining variables."""
+    compares the remaining variables by the order rest."""
 
     name = "block"
 
-    def __init__(self, elim):
+    def __init__(self, elim, rest):
         self.elim = frozenset(int(a) for a in elim)
+        self.rest = rest
 
     def key(self, e):
         left = tuple(e[i] for i in sorted(self.elim))
         right = tuple(e[i] for i in range(len(e)) if i not in self.elim)
-        return _grevlex_key(left) + _grevlex_key(right)
+        return _grevlex_key(left) + self.rest.key(right)
 
 
 GREVLEX = Grevlex()

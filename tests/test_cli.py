@@ -82,6 +82,28 @@ def test_composable_verdicts(capsys):
     assert out["verdict"]["outcome"] == "not_composable"
 
 
+# The five composability systems of acceptance criterion 6, with their variable count.
+COMPOSABLE_SYSTEMS = [
+    (["x0 - x1*x2"], 3),
+    (["x1 - x2"], 3),
+    (["x0^2 - x1"], 2),
+    (["x0 - 2*x1"], 2),
+    (["x0 - x1*x2", "x0*x1 - x2"], 3),
+]
+
+
+@pytest.mark.parametrize("polys, nvars", COMPOSABLE_SYSTEMS, ids=["; ".join(p) for p, _ in COMPOSABLE_SYSTEMS])
+def test_composable_verdict_is_the_same_under_lex(capsys, polys, nvars):
+    # the saturation eliminates under a block order that keeps the ideal's own order
+    argv = ["composable", "--nvars", str(nvars)] + [a for p in polys for a in ("--poly", p)]
+    verdicts = {}
+    for order in ("grevlex", "lex"):
+        code, out, _ = run(capsys, *argv, "--order", order)
+        assert code == 0
+        verdicts[order] = out["verdict"]
+    assert verdicts["lex"] == verdicts["grevlex"]
+
+
 def test_nabla_and_verify_singularity(capsys, tmp_path):
     t = named_fixture("cplx", QQ)["tensor"]
     one = [QQ.one, QQ.zero]

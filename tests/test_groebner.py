@@ -1,7 +1,11 @@
 import random
+from itertools import product
+
+import pytest
 
 from ttow import GREVLEX, LEX, QQ, Ideal, PrimeField, buchberger, intersect, saturate
 from ttow.groebner import (
+    _embed,
     box_exponents,
     contains_monomial,
     is_monomial_ideal,
@@ -9,7 +13,7 @@ from ttow.groebner import (
     monomial_primary_decomposition,
     normal_form,
 )
-from ttow.polys import MultiPoly, poly_from_string
+from ttow.polys import Block, MultiPoly, poly_from_string
 
 F101 = PrimeField(101)
 
@@ -134,3 +138,95 @@ def test_lex_elimination():
     # lex GB of (x - y^2, x*y - 1) eliminates x into y^3 - 1
     I = Ideal([P("x - y^2", 2), P("x*y - 1", 2)], LEX)
     assert any(g.degree_in(0) == 0 for g in I.gb)
+
+
+# -- differential test of the one-run eliminations ---------------------------
+#
+# The oracle eliminates the slow way: one saturation per variable, each a
+# Buchberger run under a block order that compares the kept variables by
+# grevlex, then a fresh Buchberger of the t-free part in the ideal's order.
+
+
+def _oracle_eliminate(gens, field, n, order):
+    gb_aux = buchberger(gens, Block({0}, GREVLEX))
+    free = [
+        MultiPoly(field, n, {e[1:]: c for e, c in g.terms.items()})
+        for g in gb_aux
+        if all(e[0] == 0 for e in g.terms)
+    ]
+    return Ideal.from_gb(field, n, buchberger(free, order), order)
+
+
+def _oracle_saturate(I):
+    field, n, cur = I.field, I.nvars, I
+    for a in range(n):
+        e = [0] * (n + 1)
+        e[0] = e[a + 1] = 1
+        t_xa = MultiPoly(field, n + 1, {tuple(e): field.one, (0,) * (n + 1): field.neg(field.one)})
+        cur = _oracle_eliminate([_embed(g, field, n, 0) for g in cur.gb] + [t_xa], field, n, I.order)
+    return cur
+
+
+def _oracle_intersect(I, J):
+    field, n = I.field, I.nvars
+    gens = [_embed(g, field, n, 1) for g in I.gb]
+    gens += [_embed(h, field, n, 0).sub(_embed(h, field, n, 1)) for h in J.gb]
+    return _oracle_eliminate(gens, field, n, I.order)
+
+
+def _random_binomial_system(rng, field, order, count=(2, 3)):
+    # count[0] to count[1] binomials x^a - c*x^b in 4 variables, of degree <= 3
+    def monomial():
+        e = [0] * 4
+        for _ in range(rng.randint(1, 3)):
+            e[rng.randrange(4)] += 1
+        return tuple(e)
+
+    gens = []
+    for _ in range(rng.randint(*count)):
+        a, b = monomial(), monomial()
+        while b == a:
+            b = monomial()
+        c = field.from_int(rng.choice([1, 1, 1, -1, 2]))
+        gens.append(MultiPoly(field, 4, {a: field.one, b: field.neg(c)}))
+    return Ideal(gens, order)
+
+
+def _random_small_ideal(rng, field, order, count=(1, 2)):
+    # count[0] to count[1] polynomials in 3 variables, 2-3 terms of degree <= 2
+    monomials = [e for e in product(range(3), repeat=3) if sum(e) <= 2]
+    gens = []
+    for _ in range(rng.randint(*count)):
+        terms = {e: field.from_int(rng.choice([-2, -1, 1, 1, 3])) for e in rng.sample(monomials, rng.randint(2, 3))}
+        gens.append(MultiPoly(field, 3, terms))
+    return Ideal(gens, order)
+
+
+ORDERS_FIELDS = [(o, f) for o in (GREVLEX, LEX) for f in (QQ, F101)]
+ORDERS_FIELDS_IDS = [f"{o.name}-{'QQ' if f is QQ else 'F101'}" for o, f in ORDERS_FIELDS]
+
+
+@pytest.mark.parametrize("order, field", ORDERS_FIELDS, ids=ORDERS_FIELDS_IDS)
+def test_saturate_matches_per_variable_oracle(order, field):
+    rng = random.Random(7)
+    ideals = [_random_binomial_system(rng, field, order) for _ in range(25)]
+    ideals += [_random_small_ideal(rng, field, order) for _ in range(10)]
+    for I in ideals:
+        assert saturate(I).gb == _oracle_saturate(I).gb, I
+
+
+@pytest.mark.parametrize("order, field", ORDERS_FIELDS, ids=ORDERS_FIELDS_IDS)
+def test_intersect_matches_reeliminating_oracle(order, field):
+    # each ideal meets a principal one: the lex intersection of two ideals
+    # with two generators each can run for minutes
+    rng = random.Random(11)
+    pairs = [
+        (_random_binomial_system(rng, field, order), _random_binomial_system(rng, field, order, (1, 1)))
+        for _ in range(5)
+    ]
+    pairs += [
+        (_random_small_ideal(rng, field, order), _random_small_ideal(rng, field, order, (1, 1)))
+        for _ in range(8)
+    ]
+    for I, J in pairs:
+        assert intersect(I, J).gb == _oracle_intersect(I, J).gb, (I, J)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -64,10 +65,15 @@ def test_grevlex_tie_break():
     assert p.lead(GREVLEX)[0] == (0, 2, 0)
 
 
-def test_block_order_eliminates_first_block():
+@pytest.mark.parametrize("rest", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_block_order_eliminates_first_block(rest):
     # any monomial containing an eliminated variable beats all those without it
-    order = Block([0])
+    order = Block([0], rest)
     assert order.key((1, 0, 0)) > order.key((0, 5, 5))
+    # monomials free of the eliminated variable compare exactly as rest does
+    free = [(0,) + e for e in product(range(3), repeat=3)]
+    for a, b in product(free, repeat=2):
+        assert (order.key(a) < order.key(b)) == (rest.key(a[1:]) < rest.key(b[1:]))
 
 
 def test_order_from_name():
