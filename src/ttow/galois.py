@@ -5,7 +5,7 @@ Both legs are exact nullspace computations on one numpy engine for every
 field: Op(S,P) for linear homogeneous P is a stacked Sylvester-type system
 in the operator entries; Ten(P,Δ) is the joint kernel of the maps
 s ↦ p(δ)·s, linear in s for any P, computed mod p, and over QQ mod
-word-size primes, lifted and certified.
+the primes below 2**20, lifted and certified.
 
 A named algebra is checked for closure under its product law on numpy
 too: the k² products of a basis come from one batched matmul per axis,
@@ -32,6 +32,7 @@ from .linalg import (
     _certified,
     _dtype,
     _integer_scaled,
+    _matmul_mod,
     _multimodular_rref,
     identity_matrix,
     in_span,
@@ -43,7 +44,6 @@ from .linalg import (
     spans_equal,
 )
 from .npaction import (
-    _matmul_mod,
     _np_apply_poly,
     _np_mats,
     _residue,
@@ -333,7 +333,7 @@ def _closure_modp(constraints, dims, p):
 def ten_closure(P, Delta, frame):
     """Basis of Ten(P,Δ) = {s : apply_polynomial(δ, p, s) = 0 ∀δ,p}.
 
-    Over QQ, _closure_modp runs mod word-size primes that divide no
+    Over QQ, _closure_modp runs mod the primes below 2**20 that divide no
     denominator of Δ or P and linalg._multimodular_rref lifts the result.
     The lift is certified once every lifted tensor satisfies every
     constraint exactly: it spans a subspace of Ten over QQ, of dimension

@@ -1,13 +1,16 @@
 """Exact dense linear algebra: RREF, nullspaces, span arithmetic.
 
 Matrices are lists of rows of field scalars.  Over a prime field the
-elimination runs on numpy arrays of residues: int64 where products of two
-fit a machine word, Python ints (object arrays) above that.  Over the
-rationals it is multimodular: each row is scaled to coprime integers,
-eliminated modulo word-size primes with the same numpy kernel, and the RREF
-is lifted by CRT and rational reconstruction (Wang 1981; Monagan, ISSAC
-2004) in `_multimodular_rref`, which galois.ten_closure shares.  The lift
-is certified exactly before it is returned, so the result is the RREF over
+elimination runs on numpy arrays of residues: int64 where the sums of
+products that a step forms stay below 2**62, Python ints (object arrays)
+above that.  A product of residue matrices (`_matmul_mod`) runs on float64
+BLAS, chunked over the inner dimension, where that is exact (p below about
+2**26.5), and on Python ints above.  Over the rationals it is multimodular:
+each row is scaled to coprime integers, eliminated modulo the primes below
+2**20 with the same numpy kernel, and the RREF is lifted by CRT and
+rational reconstruction (Wang 1981; Monagan, ISSAC 2004) in
+`_multimodular_rref`, which galois.ten_closure shares.  The lift is
+certified exactly before it is returned, so the result is the RREF over
 QQ, not a probable one.  `_rref_generic` eliminates over any field with
 the field's own scalars; it is the reference the tests compare with.
 """
@@ -25,6 +28,26 @@ from .fields import QQ, _is_prime
 def _dtype(p, inner=1):
     # int64 where sums of `inner` products of two residues mod p fit
     return np.int64 if (p - 1) ** 2 * inner < 1 << 62 else object
+
+
+def _matmul_mod(A, B, p):
+    """Exact A @ B mod p, for every prime that PrimeField admits.  numpy
+    multiplies integer arrays without BLAS, so residues multiply as float64
+    (FFLAS-FFPACK; Dumas, Giorgi and Pernet, ACM TOMS 2008): a sum of
+    `step` products of two residues plus one residue stays below 2**53, so
+    the inner dimension runs in chunks of `step` columns, each reduced in
+    place by fmod; 8192 columns at the primes of `_prime`.  Above p about
+    2**26.5 no column fits, and Python ints in object arrays multiply."""
+    step = (2**53 - p) // (p - 1) ** 2
+    if step < 1:
+        return (A.astype(object, copy=False) @ B.astype(object, copy=False)) % p
+    A = (A % p).astype(np.float64)
+    B = (B % p).astype(np.float64)
+    out = np.zeros((A.shape[0], B.shape[1]))
+    for k in range(0, A.shape[1], step):
+        out += A[:, k : k + step] @ B[k : k + step]
+        np.fmod(out, p, out=out)
+    return out.astype(np.int64)
 
 
 def np_rref(A, p):
@@ -102,15 +125,16 @@ def _rref_generic(rows, field):
     return rows, pivots
 
 
-# Word-size primes for the multimodular QQ kernel, in descending order from
-# 2**31 - 1: the largest primes whose residue products np_rref keeps exact.
+# The primes of the multimodular QQ kernel, in descending order below 2**20:
+# there _matmul_mod runs float64 chunks of 8192 inner columns, and a d-term
+# contraction stays in int64 for every d < 2**22.
 _PRIMES = []
 
 
 def _prime(i):
     """The i-th prime of the fixed multimodular sequence (cached)."""
     while len(_PRIMES) <= i:
-        n = _PRIMES[-1] - 2 if _PRIMES else (1 << 31) - 1
+        n = _PRIMES[-1] - 2 if _PRIMES else (1 << 20) - 1
         while not _is_prime(n):
             n -= 2
         _PRIMES.append(n)
@@ -218,18 +242,15 @@ def _certified(A, rows, pivots, p=None):
     """Per row a of the integer matrix A, whether a lies in the row space of
     the RREF R (rows, pivots): a[free] == a[pivots] @ R[:, free], mod p, or
     with p None over QQ as d * a[free] == a[pivots] @ numerators, with d the
-    common denominator of each free column.  In int64 while the products
-    and their sums stay below 2**62, otherwise in Python ints."""
+    common denominator of each free column.  Over QQ in int64 while the
+    products and their sums stay below 2**62, otherwise in Python ints."""
     pivset = set(pivots)
     free = [c for c in range(A.shape[1]) if c not in pivset]
     if not free:
         return np.ones(len(A), dtype=bool)  # rank n forces R = I
     if p is not None:
-        dtype = _dtype(p, len(pivots))
-        A = (A % p).astype(dtype)
-        N = np.array([[row[c] for c in free] for row in rows], dtype=dtype)
-        N = N.reshape(len(rows), len(free))
-        return ((A[:, pivots] @ N - A[:, free]) % p == 0).all(axis=1)
+        N = np.array(rows, dtype=np.int64).reshape(len(rows), A.shape[1])[:, free]
+        return ((_matmul_mod(A[:, pivots], N, p) - A[:, free]) % p == 0).all(axis=1)
     dens = [math.lcm(*(row[c].denominator for row in rows)) for c in free]
     nums = [[row[c].numerator * (d // row[c].denominator) for c, d in zip(free, dens)]
             for row in rows]
@@ -246,7 +267,7 @@ def _certified(A, rows, pivots, p=None):
 
 
 def _rref_rational(rows):
-    """RREF over QQ by word-size primes, CRT and rational reconstruction
+    """RREF over QQ by the primes below 2**20, CRT and rational reconstruction
     (`_multimodular_rref`).  The lift R is certified once every input row
     a satisfies a[free] = a[pivots] R[:, free] over ZZ: then
     row(A) ⊆ row(R), and rank R = rank_p A <= rank_QQ A, so R is the RREF

@@ -3,12 +3,13 @@
 Tensors are numpy arrays of shape dims, stacks of them carry one leading
 axis.  Over a prime field the entries are residues mod p: int64 where the
 sums of products that a step forms stay below 2**62, Python ints in object
-arrays above that (`linalg._dtype`).  Over QQ (p None) they are exact
-Python ints in object arrays, with no modulus: a tensor is scaled by the
-lcm of its denominators, and axis a of every operator of a family by D_a,
-the lcm of the axis-a denominators across the family.  For the polynomial
-action that is the substitution x_a -> x_a / D_a, which the callers undo
-on the coefficients they read off.
+arrays above that (`linalg._dtype`).  Matrix products of residues go
+through `linalg._matmul_mod`, on float64 BLAS where that is exact.  Over
+QQ (p None) the entries are exact Python ints in object arrays, with no
+modulus: a tensor is scaled by the lcm of its denominators, and axis a of
+every operator of a family by D_a, the lcm of the axis-a denominators
+across the family.  For the polynomial action that is the substitution
+x_a -> x_a / D_a, which the callers undo on the coefficients they read off.
 """
 
 import math
@@ -18,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import _dtype, _integer_scaled
+from .linalg import _dtype, _integer_scaled, _matmul_mod
 from .operators import TransverseOperator
 from .polys import MultiPoly
 
@@ -41,44 +42,13 @@ def _np_mats(omega, a, k, p):
     )
 
 
-def _matmul_mod(A, B, p):
-    """Exact A @ B mod p, for every prime that PrimeField admits.  Integer
-    matmul in numpy bypasses BLAS; when every inner product fits a float64
-    mantissa we reduce, multiply as floats, and round back, which is an
-    order of magnitude faster on large matrices.  Otherwise B is split into
-    16-bit halves, so that an int64 product of A with either half stays
-    below 2**63 over `step` inner columns (2**16 at p near 2**31): two
-    products a chunk, recombined as (A @ hi mod p) * 2**16 + A @ lo.
-    Python ints in object arrays multiply directly."""
-    if _dtype(p) is object:
-        return (A @ B) % p
-    sq = (p - 1) ** 2
-    if A.shape[1] * sq < 2**53:
-        prod = (A % p).astype(np.float64) @ (B % p).astype(np.float64)
-        return np.rint(prod % p).astype(np.int64) % p
-    A = (A % p).astype(np.int64)
-    B = (B % p).astype(np.int64)
-    lo, hi = B & 0xFFFF, B >> 16
-    step = (2**63 - 1) // ((p - 1) * 0xFFFF)
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for k in range(0, A.shape[1], step):
-        Ak = A[:, k : k + step]
-        part = ((Ak @ hi[k : k + step] % p) << 16) + Ak @ lo[k : k + step] % p
-        out = (out + part) % p
-    return out
-
-
 def _contract_mod(cur, axis, mat, p):
     """Axis `axis` of cur contracted with the rows of mat, mod p, or exactly
-    for p None.  An int64 tensordot overflows once sums of len(mat) residue
-    products pass 2**63, as at the word-size primes of the QQ closures;
-    there _matmul_mod."""
-    if p is None or cur.dtype == object or _dtype(p, len(mat)) is np.int64:
-        out = np.tensordot(cur, mat, axes=([axis], [0]))
-        return np.moveaxis(out if p is None else out % p, -1, axis)
-    moved = np.moveaxis(cur, axis, -1)
-    out = _matmul_mod(moved.reshape(-1, len(mat)), mat, p)
-    return np.moveaxis(out.reshape(moved.shape), -1, axis)
+    for p None: one tensordot, in int64 while sums of len(mat) residue
+    products stay below 2**62 (`linalg._dtype`), in Python ints above."""
+    dtype = object if p is None else _dtype(p, len(mat))
+    out = np.tensordot(cur.astype(dtype, copy=False), mat, axes=([axis], [0]))
+    return np.moveaxis(out if p is None else out % p, -1, axis)
 
 
 def _np_apply_poly(delta, poly, B, dims, p):

@@ -141,8 +141,8 @@ def _corrupted(space, rng):
 
 
 @pytest.mark.parametrize(
-    "field", [QQ, F101, PrimeField(_prime(0)), PrimeField(2**61 - 1)],
-    ids=["QQ", "F101", "p31", "p61"],
+    "field", [QQ, F101, PrimeField(_prime(0)), PrimeField((1 << 31) - 1), PrimeField(2**61 - 1)],
+    ids=["QQ", "F101", "p20", "p31", "p61"],
 )
 def test_batched_closure_check_matches_the_pairwise_one(field):
     rng = random.Random(4)

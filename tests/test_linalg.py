@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ttow import QQ, PrimeField
 from ttow.linalg import (
     _dtype,
+    _matmul_mod,
     _prime,
     _rref_generic,
     identity_matrix,
@@ -23,7 +24,6 @@ from ttow.linalg import (
     row_basis,
     spans_equal,
 )
-from ttow.npaction import _matmul_mod
 
 F101 = PrimeField(101)
 # residues mod these primes are held as Python ints in object arrays
@@ -206,8 +206,8 @@ def test_multimodular_rref_discards_an_unlucky_first_prime():
 
 
 def test_matmul_mod_is_exact_for_large_admitted_primes():
-    # at p = 500000003, inner * (p - 1)**2 is far above 2**63, so a plain
-    # int64 A @ B would wrap; p = 101 takes the single float64 product, and
+    # inner * (p - 1)**2 is far above 2**63 at p = 500000003, so an int64
+    # A @ B would wrap; p = 101 takes one float64 chunk, and 500000003 and
     # the primes above 2**31 multiply Python ints
     rng = random.Random(23)
     for p in (101, 500000003) + LARGE_PRIMES:

@@ -12,9 +12,8 @@ import pytest
 from ttow import QQ, Frame, Ideal, PrimeField, Subframe, Tensor, TransverseOperator
 from ttow.annihilator import joint_annihilator
 from ttow.groebner import box_exponents
-from ttow.linalg import left_nullspace
+from ttow.linalg import _matmul_mod, _prime, left_nullspace
 from ttow.npaction import (
-    _matmul_mod,
     _np_apply_poly,
     box_action,
     integral_constraint,
@@ -186,15 +185,18 @@ def test_integral_constraint_is_an_exact_multiple():
         assert row == [x * 3 * factor for x in want]
 
 
-def test_matmul_mod_splits_word_size_primes_into_16_bit_halves():
-    p = (1 << 31) - 1
-    rng = np.random.default_rng(4)
-    A = rng.integers(0, p, size=(40, 400), dtype=np.int64)
-    B = rng.integers(0, p, size=(400, 30), dtype=np.int64)
+@pytest.mark.parametrize("p", [_prime(0), 94906249, 94906297])
+def test_matmul_mod_float64_chunks_match_python_ints(p):
+    # A float64 chunk sums step = (2**53 - p) // (p - 1)**2 products: 8192
+    # at _prime(0), one at 94906249, the last prime with a chunk, and none at
+    # 94906297, the first prime on Python ints.  Row 0 of A and column 0 of B
+    # hold p - 2, whose odd products round in a chunk one column longer; the
+    # high random residues round in one twice as long.
+    step = (2**53 - p) // (p - 1) ** 2
+    inner = 3 * step + 5
+    rng = np.random.default_rng(6)
+    A = rng.integers(p - 256, p, size=(4, inner), dtype=np.int64)
+    B = rng.integers(p - 256, p, size=(inner, 4), dtype=np.int64)
+    A[0], B[:, 0] = p - 2, p - 2
     want = (A.astype(object) @ B.astype(object)) % p
     assert np.array_equal(_matmul_mod(A, B, p), want)
-    # past one chunk of the inner dimension, with the largest residues
-    step = (2**63 - 1) // ((p - 1) * 0xFFFF)
-    A = np.full((2, step + 3), p - 1, dtype=np.int64)
-    B = np.full((step + 3, 2), p - 1, dtype=np.int64)
-    assert _matmul_mod(A, B, p).tolist() == [[(step + 3) % p] * 2] * 2
